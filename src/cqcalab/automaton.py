@@ -160,16 +160,28 @@ class ValidatedCqca:
         return ValidatedCqca(product, classify(product))
 
     def power(self, k: int) -> "ValidatedCqca":
+        """T**k in the closed form a*T + b*I, linear in k.
+
+        Cayley-Hamilton with det T = 1 gives T**2 = tr*T + I over F2, so
+        every power is a*T + b*I.  Square-and-multiply runs on the pair
+        (a, b) from T = (1, 0) over the bits of k after the leading one:
+        squaring maps it to (a**2*tr, a**2 + b**2), each square a Frobenius
+        bit-spread, and a factor T maps it to (a*tr + b, a).
+        """
         if k < 0:
             raise ValueError("negative powers are not supported; use inverse()")
-        result = identity()
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
+        if k == 0:
+            return identity()
+        tr = self.trace()
+        a, b = LaurentPoly.one(), LaurentPoly.zero()
+        for bit in format(k, "b")[1:]:
+            a_squared = a.squared()
+            a, b = a_squared * tr, a_squared + b.squared()
+            if bit == "1":
+                a, b = a * tr + b, a
+        m = self.matrix
+        result = CqcaMatrix(a * m.t11 + b, a * m.t12, a * m.t21, a * m.t22 + b)
+        return ValidatedCqca(result, classify(result))
 
     def inverse(self) -> "ValidatedCqca":
         # det = 1 after centering, so the adjugate (over F2) is the inverse.
@@ -213,16 +225,23 @@ def validate(m: CqcaMatrix) -> ValidatedCqca:
 
 
 def period(t: ValidatedCqca, cap: int) -> int | None:
-    """Smallest p <= cap with t**p the identity, or None if there is none."""
+    """Smallest p <= cap with t**p the identity, or None if there is none.
+
+    Closed form from T**2 = tr*T + I: trace 0 gives T**2 = I (period 1 for
+    the identity, else 2); trace 1 gives T**3 = T**2 + T = I and no smaller
+    power is I (period 3).  Any other trace makes the entries of T**p grow
+    without bound, so no power is the identity.
+    """
     if cap < 1:
         raise ValueError("cap must be positive")
-    ident = identity().matrix
-    power = t.matrix
-    for p in range(1, cap + 1):
-        if power == ident:
-            return p
-        power = power @ t.matrix
-    return None
+    tr = t.trace()
+    if tr.is_zero:
+        p = 1 if t.matrix == identity().matrix else 2
+    elif tr == LaurentPoly.one():
+        p = 3
+    else:
+        return None
+    return p if p <= cap else None
 
 
 # -- built-in matrices ------------------------------------------------

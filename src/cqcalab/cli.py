@@ -48,6 +48,29 @@ class UsageError(Exception):
     pass
 
 
+def _int_at_least(minimum: int):
+    """argparse type for integers >= minimum; anything else exits 2."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+def _region_sizes(text: str) -> list[int]:
+    """argparse type for a comma-separated list of positive region sizes."""
+    sizes = [_int_at_least(1)(part) for part in text.split(",") if part]
+    if not sizes:
+        raise argparse.ArgumentTypeError("must list at least one region size")
+    return sizes
+
+
 def _write_output(data: bytes, path: str | None) -> None:
     if path is None:
         sys.stdout.buffer.write(data)
@@ -155,9 +178,6 @@ def _cmd_finite(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    region_sizes = [int(part) for part in args.regions.split(",") if part]
-    if not region_sizes:
-        raise UsageError("--regions must list at least one region size")
     mismatches = 0
     checks = 0
     for sample in range(args.samples):
@@ -166,7 +186,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         for k, state in enumerate(states):
             if args.ring < 2 * (2 * state.n + 1):
                 break
-            for size in region_sizes:
+            for size in args.regions:
                 if not 2 * state.n <= size <= args.ring - 2 * state.n - 2:
                     continue
                 measured = finite_chain.ring_state_entropy(
@@ -181,6 +201,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
                         f"rank oracle {measured} vs closed form {expected}"
                     )
     print(f"{checks} checks, {mismatches} mismatches")
+    if not checks:
+        print(
+            "error: the sweep made no checks; use a larger --ring or region sizes "
+            "that fit it",
+            file=sys.stderr,
+        )
+        return 1
     return 1 if mismatches else 0
 
 
@@ -202,13 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="print an observable trajectory")
     _add_matrix_arguments(p)
     p.add_argument("--obs", required=True, help="observable literal, e.g. ZYX@-1")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_evolve)
 
     p = sub.add_parser("diagram", help="render a space-time diagram")
     _add_matrix_arguments(p)
     p.add_argument("--obs", default="Z@0")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_at_least(1), required=True)
     p.add_argument("--format", choices=("ascii", "ppm"), default="ascii")
     p.add_argument("-o", "--output", help="output file (default stdout)")
     p.set_defaults(func=_cmd_diagram)
@@ -216,36 +243,38 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entangle", help="entanglement trajectory as CSV")
     _add_matrix_arguments(p)
     p.add_argument("--state", default="Z@0", help="generator seed literal")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--region", type=int, help="finite region length L for E_tri")
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
+    p.add_argument(
+        "--region", type=_int_at_least(1), help="finite region length L for E_tri"
+    )
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_entangle)
 
     p = sub.add_parser("rate", help="predicted vs empirical entanglement rate")
     _add_matrix_arguments(p)
     p.add_argument("--state", default="Z@0")
-    p.add_argument("--steps", type=int, default=256)
+    p.add_argument("--steps", type=_int_at_least(stabilizer.MIN_RATE_STEPS), default=256)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("finite", help="finite-chain simulation and diagnostics")
     _add_matrix_arguments(p)
-    p.add_argument("--sites", type=int, required=True)
+    p.add_argument("--sites", type=_int_at_least(1), required=True)
     p.add_argument("--boundary", choices=("open", "ring"), default="open")
     p.add_argument("--origin", type=int, default=0, help="label of the leftmost site")
     p.add_argument("--obs", help="observable to evolve")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=_int_at_least(0), default=0)
     p.add_argument("--mirror", metavar="SITE:LETTER", help="search for the mirror step")
     p.add_argument("--parity", metavar="SITE:LETTER", help="global-Y parity table")
     p.set_defaults(func=_cmd_finite)
 
     p = sub.add_parser("oracle", help="symbolic-vs-ring equivalence sweep")
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ring", type=int, default=64)
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--word-length", type=int, default=6)
-    p.add_argument("--shear-degree", type=int, default=2)
-    p.add_argument("--regions", default="8,16,24,32,40")
+    p.add_argument("--ring", type=_int_at_least(1), default=64)
+    p.add_argument("--steps", type=_int_at_least(0), default=20)
+    p.add_argument("--word-length", type=_int_at_least(0), default=6)
+    p.add_argument("--shear-degree", type=_int_at_least(1), default=2)
+    p.add_argument("--regions", type=_region_sizes, default="8,16,24,32,40")
     p.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -28,6 +28,13 @@ def _clmul(a: int, b: int) -> int:
     return acc
 
 
+# A nibble squared as a polynomial: its bits 0..3 moved to bits 0, 2, 4, 6.
+_SPREAD_NIBBLE = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
+# Byte b -> its low (high) nibble squared: the low (high) byte of b squared.
+_SPREAD_LOW_NIBBLE = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
+_SPREAD_HIGH_NIBBLE = bytes(_SPREAD_NIBBLE[b >> 4] for b in range(256))
+
+
 def _divmod_bits(a: int, b: int) -> tuple[int, int]:
     """Divide bitset polynomial a by nonzero b, returning (quotient, remainder)."""
     if b == 0:
@@ -152,16 +159,33 @@ class LaurentPoly:
             return LaurentPoly.zero()
         return LaurentPoly(_clmul(self.mask, other.mask), self.min_exp + other.min_exp)
 
+    def squared(self) -> "LaurentPoly":
+        """The square, in linear time: over F2, p(u)**2 = p(u**2) (Frobenius).
+
+        Squaring spreads bit k of the mask to bit 2k, so the digits are
+        interleaved with zeros instead of convolved: each byte of the mask
+        becomes two bytes, one per nibble, through a translation table.
+        """
+        if self.is_zero:
+            return self
+        size = (self.mask.bit_length() + 7) // 8
+        raw = self.mask.to_bytes(size, "little")
+        spread = bytearray(2 * size)
+        spread[0::2] = raw.translate(_SPREAD_LOW_NIBBLE)
+        spread[1::2] = raw.translate(_SPREAD_HIGH_NIBBLE)
+        return LaurentPoly(int.from_bytes(spread, "little"), 2 * self.min_exp)
+
     def __pow__(self, k: int) -> "LaurentPoly":
+        """Left-to-right square-and-multiply over the bits of k."""
         if k < 0:
             raise ValueError("negative powers are not defined in the polynomial ring")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return LaurentPoly.one()
+        result = self
+        for bit in format(k, "b")[1:]:
+            result = result.squared()
+            if bit == "1":
+                result = result * self
         return result
 
     def shifted(self, k: int) -> "LaurentPoly":

@@ -6,6 +6,9 @@ mirror-symmetric about the origin with coprime components.  With
 generator length 2n + 1, closed forms give the entanglement directly: n
 ebits across any bipartite cut, min(2n, L) ebits between a region of L
 sites and the rest of the chain.
+
+Evolution validates its input seed once: a validated automaton keeps
+every later seed valid (see ``evolve``), so no step repeats the gcd.
 """
 
 from __future__ import annotations
@@ -81,14 +84,25 @@ def all_spins_up() -> TIStabilizerState:
 def evolve(
     s: TIStabilizerState, t: ValidatedCqca, steps: int
 ) -> list[TIStabilizerState]:
-    """States after 0..steps automaton steps; each element revalidates."""
+    """States after 0..steps automaton steps; only the input is validated.
+
+    A ValidatedCqca is centred: its entries are mirror-symmetric about 0
+    and det = 1, and so are all products and inverses of such matrices.
+    Sums and products of polynomials symmetric about 0 stay symmetric, so T
+    keeps both components of the seed mirror-symmetric about 0.  T is
+    invertible, so (xi+, xi-) and its image generate the same ideal, and
+    coprime components stay coprime.  Symmetric and coprime imply a
+    non-identity centre: a symmetric polynomial without constant term is a
+    sum of u**-k + u**k = u**-k (1 + u**k)**2, all divisible by 1 + u.
+    Hence every later state is valid, and its half-length is its dg.
+    """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    out = [s]
+    out = [validate_state(s.xi)]
     xi = s.xi
     for _ in range(steps):
         xi = t.apply(xi)
-        out.append(validate_state(xi))
+        out.append(TIStabilizerState(xi, xi.dg()))
     return out
 
 
@@ -138,6 +152,9 @@ def trajectory_csv(points: list[TrajectoryPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
+MIN_RATE_STEPS = 16
+
+
 def asymptotic_rate(
     t: ValidatedCqca, s: TIStabilizerState, steps: int
 ) -> tuple[int, Fraction]:
@@ -147,8 +164,8 @@ def asymptotic_rate(
     second half of the run only, since the early steps may transiently
     destroy entanglement before linear growth sets in.
     """
-    if steps < 16:
-        raise ValueError("need at least 16 steps for a meaningful slope")
+    if steps < MIN_RATE_STEPS:
+        raise ValueError(f"need at least {MIN_RATE_STEPS} steps for a meaningful slope")
     half = steps // 2
     states = evolve(s, t, steps)
     empirical = Fraction(states[steps].n - states[half].n, steps - half)

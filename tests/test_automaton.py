@@ -162,11 +162,64 @@ class TestClassify:
 
     def test_glider_powers(self):
         t = glider()
-        for k in range(1, 6):
+        for k in (*range(1, 6), 4096):
             assert t.power(k).class_tag == Glider(k)
 
     def test_trace_zero_is_periodic(self):
         assert classify(swap().matrix) == Periodic()
+
+
+def _slow_power(t, k):
+    """Right-to-left square-and-multiply with full matrix products."""
+    result, base = identity(), t
+    while k:
+        if k & 1:
+            result = result @ base
+        base = base @ base
+        k >>= 1
+    return result
+
+
+def _power_by_matvec_oracle(t, k):
+    """Columns of T**k: the term-set matvec applied k times to X and Z."""
+    entries = matrix_terms(t.matrix)
+    columns = [(frozenset({0}), frozenset()), (frozenset(), frozenset({0}))]
+    for _ in range(k):
+        columns = [matvec_terms(entries, column) for column in columns]
+    (t11, t21), (t12, t22) = columns
+    return (t11, t12), (t21, t22)
+
+
+POWER_EXPONENTS = hst.integers(min_value=0, max_value=40) | hst.sampled_from(
+    [2**j + d for j in range(1, 7) for d in (-1, 0, 1)]
+)
+
+
+class TestPower:
+    @given(random_automata, POWER_EXPONENTS)
+    @settings(max_examples=100, deadline=None)
+    def test_against_matvec_oracle(self, t, k):
+        tk = t.power(k)
+        assert matrix_terms(tk.matrix) == _power_by_matvec_oracle(t, k)
+        assert tk.class_tag == classify(tk.matrix)
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 1000])
+    def test_builtins_against_matrix_products(self, k):
+        for t in (glider(), fractal(), validate(PERIOD3), swap()):
+            assert t.power(k) == _slow_power(t, k)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            glider().power(-1)
+
+
+def _period_by_search(t, cap):
+    product = t.matrix
+    for p in range(1, cap + 1):
+        if product == identity().matrix:
+            return p
+        product = product @ t.matrix
+    return None
 
 
 class TestPeriod:
@@ -178,6 +231,15 @@ class TestPeriod:
 
     def test_glider_never_periodic(self):
         assert period(glider(), 64) is None
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError):
+            period(identity(), 0)
+
+    @given(random_automata, hst.sampled_from([1, 2, 3, 4, 64]))
+    @settings(max_examples=200, deadline=None)
+    def test_against_product_search(self, t, cap):
+        assert period(t, cap) == _period_by_search(t, cap)
 
 
 class TestTraceDegree:

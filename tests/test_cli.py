@@ -9,6 +9,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def usage_exit(capsys, *argv):
+    """Run a command that argparse must reject; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 class TestValidate:
     def test_glider(self, capsys):
         code, out, _ = run(capsys, "validate", "glider")
@@ -65,6 +73,10 @@ class TestEvolve:
         assert code == 0
         assert out.splitlines() == ["0\tZYX@-1", "1\tZYX@-2", "2\tZYX@-3"]
 
+    def test_negative_steps_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "evolve", "glider", "--obs", "Z", "--steps", "-1")
+        assert "--steps: must be at least 0" in err
+
 
 class TestDiagram:
     def test_ascii_stdout(self, capsys):
@@ -82,6 +94,10 @@ class TestDiagram:
         )
         assert code == 0
         assert target.read_bytes().startswith(b"P6\n")
+
+    def test_zero_steps_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "diagram", "glider", "--steps", "0")
+        assert "--steps: must be at least 1" in err
 
 
 class TestEntangle:
@@ -106,12 +122,20 @@ class TestEntangle:
         assert code == 1
         assert "NotReflectionSymmetric" in err
 
+    def test_negative_steps_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "entangle", "glider", "--steps", "-1")
+        assert "--steps: must be at least 0" in err
+
 
 class TestRate:
     def test_glider(self, capsys):
         code, out, _ = run(capsys, "rate", "glider", "--steps", "64")
         assert code == 0
         assert out == "predicted=1 empirical=1\n"
+
+    def test_short_horizon_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "rate", "fractal", "--steps", "10")
+        assert "--steps: must be at least 16" in err
 
 
 class TestFinite:
@@ -152,6 +176,10 @@ class TestFinite:
         assert code == 1
         assert "BoundaryBreaksAutomorphism" in err
 
+    def test_zero_sites_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "finite", "glider", "--sites", "0")
+        assert "--sites: must be at least 1" in err
+
 
 class TestOracle:
     def test_small_sweep(self, capsys):
@@ -163,6 +191,27 @@ class TestOracle:
         )
         assert code == 0
         assert "0 mismatches" in out
+
+    def test_zero_samples_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "oracle", "--samples", "0", "--seed", "1")
+        assert "--samples: must be at least 1" in err
+
+    def test_zero_ring_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "oracle", "--samples", "3", "--seed", "1", "--ring", "0")
+        assert "--ring: must be at least 1" in err
+
+    def test_bad_region_list_is_usage_error(self, capsys):
+        err = usage_exit(capsys, "oracle", "--samples", "1", "--seed", "1", "--regions", "8,x")
+        assert "invalid int value: 'x'" in err
+
+    def test_sweep_without_checks_fails(self, capsys):
+        # a 4-site ring is too short for any region check
+        code, out, err = run(
+            capsys, "oracle", "--samples", "1", "--seed", "1", "--ring", "4", "--steps", "2"
+        )
+        assert code == 1
+        assert out == "0 checks, 0 mismatches\n"
+        assert "no checks" in err
 
 
 class TestDeterminism:

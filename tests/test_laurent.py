@@ -124,6 +124,32 @@ class TestArithmetic:
             assert (p * q).max_exp == p.max_exp + q.max_exp
 
 
+class TestSquaredAndPow:
+    @given(polys)
+    def test_squared_matches_product(self, p):
+        assert p.squared() == p * p
+
+    def test_squared_exhaustive_small(self):
+        for p in SMALL_POLYS:
+            assert p.squared() == p * p
+
+    def test_squared_wide_mask(self):
+        # every byte value of the translation tables, in one mask
+        p = LaurentPoly(int.from_bytes(bytes(range(256)), "little") | 1, -1000)
+        assert to_terms(p.squared()) == {2 * e for e in to_terms(p)}
+
+    @given(polys, hst.integers(min_value=0, max_value=9))
+    def test_pow_against_repeated_convolution(self, p, k):
+        terms = frozenset({0})
+        for _ in range(k):
+            terms = convolve_terms(terms, to_terms(p))
+        assert to_terms(p ** k) == terms
+
+    def test_negative_pow_rejected(self):
+        with pytest.raises(ValueError):
+            P("u") ** -1
+
+
 class TestDegreeSpan:
     def test_glider_trace(self):
         p = P("u^-1 + u")

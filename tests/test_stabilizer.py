@@ -10,6 +10,7 @@ from cqcalab.stabilizer import (
     CommonDivisor,
     NotReflectionSymmetric,
     SingleLetterType,
+    TIStabilizerState,
     all_spins_up,
     asymptotic_rate,
     bipartite_entanglement,
@@ -98,10 +99,17 @@ class TestEvolve:
             assert (to_terms(state.xi.xi_plus), to_terms(state.xi.xi_minus)) == vec
             vec = matvec_terms(matrix_terms(t.matrix), vec)
 
-    @given(random_automata, hst.integers(min_value=0, max_value=20))
+    @given(random_automata, hst.sampled_from(["Z@0", "X@0", "XZX@-1", "YXY@-1"]),
+           hst.integers(min_value=0, max_value=20))
     @settings(max_examples=100, deadline=None)
-    def test_evolution_preserves_validity(self, t, steps):
-        evolve(all_spins_up(), t, steps)  # validate_state runs at every step
+    def test_evolution_preserves_validity(self, t, seed, steps):
+        # evolve validates only its input; the full check runs here on every state
+        for state in evolve(S(seed), t, steps):
+            assert validate_state(state.xi).n == state.n
+
+    def test_invalid_input_rejected(self):
+        with pytest.raises(NotReflectionSymmetric):
+            evolve(TIStabilizerState(parse_observable("XX@0"), 0), glider(), 3)
 
     @given(random_automata)
     @settings(max_examples=100, deadline=None)
