@@ -144,18 +144,17 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         did_something = True
         v = parse_observable(args.obs)
         span = v.support()
-        x_mask = z_mask = 0
         if span is not None:
-            for site in range(span[0], span[1] + 1):
-                letter = v.letter_at(site)
-                index = site - origin
-                if not 0 <= index < args.sites:
-                    raise UsageError(f"observable site {site} falls off the chain")
-                if letter in ("X", "Y"):
-                    x_mask |= 1 << index
-                if letter in ("Z", "Y"):
-                    z_mask |= 1 << index
-        op = FiniteOperator.hermitian(args.sites, x_mask, z_mask)
+            lo, hi = span
+            # Report the leftmost site of the support that lies off the chain.
+            if lo < origin or hi >= origin + args.sites:
+                off = lo if lo < origin else max(lo, origin + args.sites)
+                raise UsageError(f"observable site {off} falls off the chain")
+        op = FiniteOperator.hermitian(
+            args.sites,
+            v.xi_plus.coefficients(origin, args.sites),
+            v.xi_minus.coefficients(origin, args.sites),
+        )
         for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
             print(f"{k}\t{evolved}")
     if args.mirror is not None:
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="report the dynamical class")
     _add_matrix_arguments(p)
-    p.add_argument("--cap", type=int, default=64, help="period search bound")
+    p.add_argument("--cap", type=_int_at_least(1), default=64, help="period search bound")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("evolve", help="print an observable trajectory")

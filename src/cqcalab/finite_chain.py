@@ -18,12 +18,10 @@ from typing import Iterable, Literal, Sequence
 
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly
-from .phase_space import PhaseVector
+from .phase_space import _CODE_LETTER, site_letters
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
-
-_SITE_LETTER = {(0, 0): "1", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
 class BoundaryBreaksAutomorphism(ValueError):
@@ -112,10 +110,11 @@ class FiniteOperator:
         return 1 if (self.phase_exp - y_count) % 4 == 0 else -1
 
     def letter_at(self, site: int) -> str:
-        return _SITE_LETTER[((self.x_mask >> site) & 1, (self.z_mask >> site) & 1)]
+        x_bit, z_bit = (self.x_mask >> site) & 1, (self.z_mask >> site) & 1
+        return _CODE_LETTER[x_bit | z_bit << 1]
 
     def __str__(self) -> str:
-        letters = "".join(self.letter_at(k) for k in range(self.n_sites))
+        letters = site_letters(self.x_mask, self.z_mask, self.n_sites)
         try:
             prefix = {1: "+", -1: "-"}[self.hermitian_sign()]
         except ValueError:

@@ -132,6 +132,14 @@ class LaurentPoly:
             return 0
         return (self.mask >> k) & 1
 
+    def coefficients(self, lo: int, width: int) -> int:
+        """Coefficients of u**lo .. u**(lo + width - 1) as a width-bit mask."""
+        shift = self.min_exp - lo
+        if shift >= width:
+            return 0
+        mask = self.mask << shift if shift >= 0 else self.mask >> -shift
+        return mask & ((1 << width) - 1)
+
     def exponents(self) -> Iterator[int]:
         """Exponents with coefficient 1, in increasing order."""
         mask, base = self.mask, self.min_exp

@@ -15,7 +15,26 @@ import dataclasses
 from .laurent import LaurentPoly, coefficient_dot
 
 _LETTER_BITS = {"1": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
+# The letter of each site code x | z << 1.
+_CODE_LETTER = {x | z << 1: letter for letter, (x, z) in _LETTER_BITS.items()}
+_CODE_TO_LETTER = bytes.maketrans(
+    bytes(_CODE_LETTER), "".join(_CODE_LETTER.values()).encode("ascii")
+)
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def site_letters(x_mask: int, z_mask: int, width: int) -> str:
+    """Letters of sites 0..width-1, site 0 first; bit k of each mask is site k.
+
+    Both masks must fit in ``width`` bits.  Each mask becomes one byte per
+    site and the two are combined as one int, so a whole row costs a few
+    byte operations instead of one table lookup per site.
+    """
+    digits = (format(mask, f"0{width}b").encode("ascii") for mask in (x_mask, z_mask))
+    x, z = (int.from_bytes(d.translate(_DIGIT_TO_BIT), "big") for d in digits)
+    # format puts site width-1 first, so the combined bytes are reversed.
+    codes = (x | z << 1).to_bytes(width, "big")[::-1]
+    return codes.translate(_CODE_TO_LETTER).decode("ascii")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,9 +69,19 @@ class PhaseVector:
         return min(lows), max(highs)
 
     def letter_at(self, site: int) -> str:
-        return _BITS_LETTER[
-            (self.xi_plus.coefficient(site), self.xi_minus.coefficient(site))
+        """The letter on one site; the per-cell reference for :meth:`letters`."""
+        return _CODE_LETTER[
+            self.xi_plus.coefficient(site) | self.xi_minus.coefficient(site) << 1
         ]
+
+    def letters(self, lo: int, hi: int) -> str:
+        """The letters on sites lo..hi (inclusive ends), lo first."""
+        width = hi - lo + 1
+        return site_letters(
+            self.xi_plus.coefficients(lo, width),
+            self.xi_minus.coefficients(lo, width),
+            width,
+        )
 
     def restricted(self, lo: int | None = None, hi: int | None = None) -> "PhaseVector":
         """Keep only the tensor factors on sites lo..hi (inclusive ends)."""
@@ -101,7 +130,7 @@ def phase_space_to_pauli(v: PhaseVector) -> tuple[str, int]:
     if span is None:
         return "1", 0
     lo, hi = span
-    return "".join(v.letter_at(site) for site in range(lo, hi + 1)), lo
+    return v.letters(lo, hi), lo
 
 
 def symplectic_form(a: PhaseVector, b: PhaseVector) -> int:

@@ -4,6 +4,10 @@ Row k holds the observable after k steps; time increases downward in all
 output formats (row 0 first).  The ASCII format uses '.', 'X', 'Y', 'Z';
 the PPM format is binary P6 with one pixel per cell and a fixed palette,
 so identical diagrams always produce identical bytes.
+
+Both stages work a whole row at a time: each row of letters is built from
+the observable's two bitsets (:meth:`PhaseVector.letters`), and each PPM
+colour channel of a row is written by one byte translation.
 """
 
 from __future__ import annotations
@@ -20,6 +24,11 @@ _PALETTE = {
     "Y": (0, 255, 0),
     "Z": (0, 0, 255),
 }
+_LETTERS = "".join(_PALETTE).encode("ascii")
+# One bytes.translate table per colour channel: letter -> channel value.
+_CHANNELS = tuple(
+    bytes.maketrans(_LETTERS, bytes(rgb[c] for rgb in _PALETTE.values())) for c in range(3)
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,9 +63,7 @@ def build_diagram(
     highs = [s[1] for s in spans if s is not None]
     left = (min(lows) if lows else 0) - 1
     right = (max(highs) if highs else 0) + 1
-    rows = tuple(
-        "".join(v.letter_at(site) for site in range(left, right + 1)) for v in states
-    )
+    rows = tuple(v.letters(left, right) for v in states)
     return SpaceTimeDiagram(rows, (left, right))
 
 
@@ -67,9 +74,19 @@ def emit(d: SpaceTimeDiagram, format: Literal["ascii", "ppm"]) -> bytes:
         return ("\n".join(translated) + "\n").encode("ascii")
     if format == "ppm":
         header = f"P6\n{d.width} {d.height}\n255\n".encode("ascii")
-        pixels = bytearray()
+        row_size = 3 * d.width
+        # One buffer for the header and every pixel, filled in place, so no
+        # second copy of the pixels exists until the final bytes().
+        pixels = bytearray(len(header) + row_size * d.height)
+        pixels[: len(header)] = header
+        start = len(header)
         for row in d.rows:
-            for letter in row:
-                pixels.extend(_PALETTE[letter])
-        return header + bytes(pixels)
+            row_bytes = row.encode("ascii")
+            if row_bytes.translate(None, _LETTERS):
+                raise ValueError(f"row holds letters outside {_LETTERS.decode()!r}")
+            end = start + row_size
+            for c, channel in enumerate(_CHANNELS):
+                pixels[start + c : end : 3] = row_bytes.translate(channel)
+            start = end
+        return bytes(pixels)
     raise ValueError(f"unknown format {format!r}")

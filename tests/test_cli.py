@@ -67,6 +67,23 @@ class TestClassify:
         assert out == "Periodic, period=2\n"
 
 
+    def test_period_cap_output(self, capsys):
+        code, out, _ = run(
+            capsys, "classify", "--t11", "0", "--t12", "1", "--t21", "1", "--t22", "1",
+            "--cap", "2",
+        )
+        assert code == 0
+        assert out == "Periodic, period>2\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_nonpositive_cap_is_usage_error(self, capsys, cap):
+        err = usage_exit(
+            capsys, "classify", "--t11", "0", "--t12", "1", "--t21", "1", "--t22", "1",
+            "--cap", cap,
+        )
+        assert "--cap: must be at least 1" in err
+
+
 class TestEvolve:
     def test_glider_trajectory(self, capsys):
         code, out, _ = run(capsys, "evolve", "glider", "--obs", "ZYX@-1", "--steps", "2")
@@ -175,6 +192,24 @@ class TestFinite:
         )
         assert code == 1
         assert "BoundaryBreaksAutomorphism" in err
+
+    @pytest.mark.parametrize(
+        "origin, literal, site",
+        [
+            # left end: the support starts before the first site
+            ("-3", "ZX@-4", -4),
+            # right end: X1Z covers sites 2..4 of -2..2; site 3 is the first off
+            ("-2", "X1Z@2", 3),
+            ("-2", "Z@5", 5),
+        ],
+    )
+    def test_observable_off_the_chain_is_usage_error(self, capsys, origin, literal, site):
+        code, _, err = run(
+            capsys, "finite", "glider", "--sites", "5", f"--origin={origin}",
+            "--obs", literal,
+        )
+        assert code == 2
+        assert err == f"usage error: observable site {site} falls off the chain\n"
 
     def test_zero_sites_is_usage_error(self, capsys):
         err = usage_exit(capsys, "finite", "glider", "--sites", "0")

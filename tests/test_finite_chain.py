@@ -65,6 +65,14 @@ class TestFiniteOperator:
         assert str(op7("11ZYZ11", phase=3)) == "-11ZYZ11"
         assert str(op7("X111111")) == "+X111111"
 
+    @given(hst.data(), hst.integers(min_value=0, max_value=70))
+    def test_string_against_letter_at(self, data, n):
+        x, z = (data.draw(hst.integers(min_value=0, max_value=(1 << n) - 1)) for _ in "xz")
+        op = FiniteOperator(n, x, z, data.draw(hst.integers(min_value=0, max_value=3)))
+        y_count = (x & z).bit_count()
+        prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[(op.phase_exp - y_count) % 4]
+        assert str(op) == prefix + "".join(op.letter_at(k) for k in range(n))
+
 
 class TestTruncateRule:
     def test_glider_interior_and_end_images(self):

@@ -233,6 +233,23 @@ class TestReflectionSymmetry:
         )
 
 
+class TestCoefficients:
+    @given(
+        polys,
+        hst.integers(min_value=-48, max_value=48),
+        hst.integers(min_value=0, max_value=40),
+    )
+    def test_against_coefficient(self, p, lo, width):
+        expected = sum(p.coefficient(lo + k) << k for k in range(width))
+        assert p.coefficients(lo, width) == expected
+
+    def test_far_windows_are_empty(self):
+        p = P("u^-1 + u^3")
+        assert p.coefficients(-(10**9), 4) == 0
+        assert p.coefficients(10**9, 4) == 0
+        assert p.coefficients(-1, 5) == 0b10001
+
+
 class TestCoefficientDot:
     @given(polys, polys)
     def test_against_term_oracle(self, p, q):

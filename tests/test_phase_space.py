@@ -135,6 +135,27 @@ class TestLiteralFormat:
             parse_observable("ZXZ@q")
 
 
+class TestLetters:
+    """``letters`` builds a row from the bitsets; ``letter_at`` is the per-site reference."""
+
+    @given(
+        hst.one_of(hst.just(PhaseVector.zero()), vectors),
+        hst.integers(min_value=-20, max_value=20),
+        hst.integers(min_value=1, max_value=30),
+    )
+    def test_against_letter_at(self, v, lo, width):
+        hi = lo + width - 1
+        assert v.letters(lo, hi) == "".join(v.letter_at(s) for s in range(lo, hi + 1))
+
+    def test_windows_cutting_the_support(self):
+        v = pauli_to_phase_space("ZYX1Z", -3)  # sites -3..1
+        assert v.letters(-5, 3) == "11ZYX1Z11"
+        assert v.letters(-2, 0) == "YX1"
+        assert v.letters(-1, 4) == "X1Z111"
+        assert v.letters(-7, -4) == "1111"
+        assert v.letters(0, 0) == "1"
+
+
 class TestRestriction:
     def test_restrict_to_right_half(self):
         v = pauli_to_phase_space("ZXZ", -1)

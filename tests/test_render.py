@@ -21,6 +21,24 @@ _PALETTE = {
 }
 
 
+# The per-cell PPM writer the row-at-a-time one replaced, kept as its reference.
+_PALETTE_RGB = {
+    "1": (255, 255, 255),
+    "X": (255, 0, 0),
+    "Y": (0, 255, 0),
+    "Z": (0, 0, 255),
+}
+
+
+def _ppm_per_cell(d):
+    header = f"P6\n{d.width} {d.height}\n255\n".encode("ascii")
+    pixels = bytearray()
+    for row in d.rows:
+        for letter in row:
+            pixels.extend(_PALETTE_RGB[letter])
+    return header + bytes(pixels)
+
+
 class TestBuildDiagram:
     def test_glider_checkerboard_start(self):
         d = build_diagram(glider(), parse_observable("X@0"), 3)
@@ -89,6 +107,19 @@ class TestEmit:
         d = build_diagram(fractal(), parse_observable("Z@0"), 128)
         assert hashlib.sha256(emit(d, "ascii")).hexdigest() == FRACTAL_128_ASCII_SHA256
         assert hashlib.sha256(emit(d, "ppm")).hexdigest() == FRACTAL_128_PPM_SHA256
+
+    @pytest.mark.parametrize(
+        "t, literal, steps", [(glider(), "YX@0", 9), (fractal(), "ZX@-3", 7)]
+    )
+    def test_ppm_matches_per_cell_writer(self, t, literal, steps):
+        d = build_diagram(t, parse_observable(literal), steps)
+        assert set("".join(d.rows)) == set("1XYZ")
+        assert emit(d, "ppm") == _ppm_per_cell(d)
+
+    def test_ppm_rejects_unknown_letter(self):
+        d = SpaceTimeDiagram(rows=("1X", "QZ"), window=(0, 1))
+        with pytest.raises(ValueError):
+            emit(d, "ppm")
 
     def test_unknown_format(self):
         d = SpaceTimeDiagram(rows=("1",), window=(0, 0))
