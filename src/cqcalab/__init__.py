@@ -47,6 +47,7 @@ from .finite_chain import (
     evolve_finite,
     global_y_parity,
     mirror_time,
+    ring_entropy_profile,
     ring_state_entropy,
     truncate_rule,
 )

@@ -185,12 +185,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         for k, state in enumerate(states):
             if args.ring < 2 * (2 * state.n + 1):
                 break
-            for size in args.regions:
-                if not 2 * state.n <= size <= args.ring - 2 * state.n - 2:
-                    continue
-                measured = finite_chain.ring_state_entropy(
-                    state, args.ring, range(size)
-                )
+            sizes = [
+                size
+                for size in args.regions
+                if 2 * state.n <= size <= args.ring - 2 * state.n - 2
+            ]
+            if not sizes:
+                continue
+            profile = finite_chain.ring_entropy_profile(state, args.ring)
+            for size in sizes:
+                measured = profile[size]
                 expected = min(2 * state.n, size)
                 checks += 1
                 if measured != expected:

@@ -186,7 +186,7 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
                 )
             )
     rule = FiniteRule(n_sites, boundary, tuple(x_images), tuple(z_images))
-    if not _is_automorphism(rule):
+    if not _is_automorphism(rule, radius):
         raise BoundaryBreaksAutomorphism(
             "cut one-site images violate the commutation relations"
         )
@@ -197,16 +197,28 @@ def _generators(rule: FiniteRule) -> list[FiniteOperator]:
     return list(rule.x_images) + list(rule.z_images)
 
 
-def _is_automorphism(rule: FiniteRule) -> bool:
-    """Check M^T J M = J: image symplectic products match the source ones."""
+def _is_automorphism(rule: FiniteRule, radius: int) -> bool:
+    """Check M^T J M = J: image symplectic products match the source ones.
+
+    Each one-site image lies within radius sites of its source (cyclically
+    on a ring), so images of sites more than 2 * radius apart have disjoint
+    supports and commute, as their sources do; only nearer pairs are checked.
+    The chain must be longer than 2 * radius, as truncate_rule ensures.
+    """
     n = rule.n_sites
-    images = _generators(rule)
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            # Source generators X_a, Z_b anticommute iff a == b.
-            anticommute = j - i == n
-            if images[i].commutes_with(images[j]) == anticommute:
-                return False
+    xs, zs = rule.x_images, rule.z_images
+    for a in range(n):
+        # Source generators X_a, Z_b anticommute iff a == b.
+        if xs[a].commutes_with(zs[a]):
+            return False
+        for b in range(a + 1, a + 2 * radius + 1):
+            if b >= n:
+                if rule.boundary == "open":
+                    break
+                b -= n
+            for image in (xs[a], zs[a]):
+                if not (image.commutes_with(xs[b]) and image.commutes_with(zs[b])):
+                    return False
     return True
 
 
@@ -374,33 +386,89 @@ def ring_translates(seed: TIStabilizerState, n_sites: int) -> list[int]:
     return rows
 
 
+def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
+    if n_sites < 2 * (2 * seed.n + 1):
+        raise ValueError("ring shorter than twice the generator length")
+
+
+def _rotated(mask: int, shift: int, n_sites: int) -> int:
+    """The n_sites-bit mask rotated toward higher bits by 0 <= shift < n_sites."""
+    return ((mask << shift) | (mask >> (n_sites - shift))) & ((1 << n_sites) - 1)
+
+
+def _prefix_ranks(
+    seed: TIStabilizerState, n_sites: int, sites: Sequence[int]
+) -> list[int]:
+    """Ranks of the wrapped generator matrix restricted to each prefix of sites.
+
+    sites lists every ring site once.  Translation invariance does the
+    per-state work once: translates i and j commute iff 0 and (j - i) mod N
+    do, and with translate -y as bit y, the column of site s is the
+    wrapped seed row rotated down by s.  One incremental elimination over
+    the columns in the given order then yields every prefix rank.  The
+    translates must pairwise commute and be independent (pure state): the
+    full rank must be n_sites.
+    """
+    row = [_poly_to_mask(p, n_sites, "ring") for p in (seed.xi.xi_plus, seed.xi.xi_minus)]
+    x0, z0 = row
+    for d in range(1, n_sites):
+        crossings = (x0 & _rotated(z0, d, n_sites)).bit_count() + (
+            z0 & _rotated(x0, d, n_sites)
+        ).bit_count()
+        if crossings % 2:
+            raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
+    # Basis columns keyed by their top bit.  Columns move down as s grows,
+    # so a new column's top bit is usually free and its reduction short.
+    pivots: dict[int, int] = {}
+    ranks = [0]
+    for s in sites:
+        for part in row:
+            v = _rotated(part, -s % n_sites, n_sites)
+            while v:
+                top = v.bit_length()
+                if top not in pivots:
+                    pivots[top] = v
+                    break
+                v ^= pivots[top]
+        ranks.append(len(pivots))
+    if ranks[-1] != n_sites:
+        raise NotPure(n_sites - ranks[-1])
+    return ranks
+
+
+def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
+    """Exact ebit counts S([0, L)) for L = 0..n_sites on an n_sites ring.
+
+    Read off one column-rank pass in site order (the clipped gauge of
+    Nahum-Ruhman-Vijay-Haah): S = rank of the generators restricted to
+    the region minus its size.  The ring must be at least twice the
+    generator length so that wrapping cannot collapse generators onto each
+    other.
+    """
+    _check_ring_length(seed, n_sites)
+    ranks = _prefix_ranks(seed, n_sites, range(n_sites))
+    return [rank - size for size, rank in enumerate(ranks)]
+
+
 def ring_state_entropy(
     seed: TIStabilizerState, n_sites: int, region: Sequence[int]
 ) -> int:
-    """Exact ebit count between a contiguous region and the rest of the ring.
+    """Exact ebit count between a region and the rest of the ring.
 
-    The wrapped translates must pairwise commute and be independent
-    (pure state); the ring must be at least twice the generator length
-    so that wrapping cannot collapse generators onto each other.
+    The region is a proper nonempty set of distinct sites in 0..N-1.  The
+    rank pass runs over the region's sites first, then the rest; see
+    ring_entropy_profile for the conditions on the seed and the ring.
     """
-    if n_sites < 2 * (2 * seed.n + 1):
-        raise ValueError("ring shorter than twice the generator length")
+    _check_ring_length(seed, n_sites)
     region = list(region)
     if not 1 <= len(region) <= n_sites - 1:
         raise ValueError("region must be a proper nonempty subset of the ring")
-    rows = ring_translates(seed, n_sites)
-    for i in range(n_sites):
-        for j in range(i + 1, n_sites):
-            if _symplectic_bits(rows[i], rows[j], n_sites):
-                raise GeneratorsDoNotCommute(f"translates {i} and {j} anticommute")
-    rank = f2_rank(rows)
-    if rank != n_sites:
-        raise NotPure(n_sites - rank)
-    return generator_entropy(rows, n_sites, region)
-
-
-def _symplectic_bits(a: int, b: int, n_sites: int) -> int:
-    low = (1 << n_sites) - 1
-    ax, az = a & low, a >> n_sites
-    bx, bz = b & low, b >> n_sites
-    return ((ax & bz).bit_count() + (az & bx).bit_count()) & 1
+    rest = set(range(n_sites))
+    for site in region:
+        if not 0 <= site < n_sites:
+            raise ValueError(f"region site {site} outside 0..{n_sites - 1}")
+        if site not in rest:
+            raise ValueError(f"region site {site} is repeated")
+        rest.remove(site)
+    ranks = _prefix_ranks(seed, n_sites, region + sorted(rest))
+    return ranks[len(region)] - len(region)

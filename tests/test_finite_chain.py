@@ -1,17 +1,23 @@
+import dataclasses
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from cqcalab import finite_chain
 from cqcalab.automaton import fractal, glider, random_cqca, swap
 from cqcalab.finite_chain import (
     BoundaryBreaksAutomorphism,
     FiniteOperator,
     GeneratorsDoNotCommute,
+    NotPure,
     evolve_finite,
     f2_rank,
     generator_entropy,
     global_y_parity,
     invert_rule,
     mirror_time,
+    ring_entropy_profile,
     ring_state_entropy,
     ring_translates,
     rule_matrix,
@@ -19,7 +25,7 @@ from cqcalab.finite_chain import (
     truncate_rule,
 )
 from cqcalab.phase_space import parse_observable
-from cqcalab.stabilizer import all_spins_up, evolve, validate_state
+from cqcalab.stabilizer import TIStabilizerState, all_spins_up, evolve, validate_state
 
 
 def S(text):
@@ -112,6 +118,114 @@ class TestTruncateRule:
     def test_chain_too_short(self):
         with pytest.raises(ValueError):
             truncate_rule(glider(), 2, "open")
+
+
+def all_pairs_is_automorphism(rule):
+    """Reference: the check over all pairs of one-site images."""
+    n = rule.n_sites
+    images = list(rule.x_images) + list(rule.z_images)
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            # Source generators X_a, Z_b anticommute iff a == b.
+            anticommute = j - i == n
+            if images[i].commutes_with(images[j]) == anticommute:
+                return False
+    return True
+
+
+def checked_truncation(t, n_sites, boundary):
+    """(rule, radius, verdict) of the automorphism check inside truncate_rule."""
+    windowed = finite_chain._is_automorphism
+    seen = []
+
+    def spy(rule, radius):
+        verdict = windowed(rule, radius)
+        seen.append((rule, radius, verdict))
+        return verdict
+
+    with mock.patch.object(finite_chain, "_is_automorphism", spy):
+        try:
+            truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            assert not seen[-1][2]
+    (found,) = seen
+    return found
+
+
+# Valid truncations: a ring, an open chain, and a random automaton of radius 4.
+WINDOW_CASES = [(glider(), "ring"), (fractal(), "open"), (random_cqca(0, 3, 2), "ring")]
+
+
+class TestWindowedAutomorphism:
+    @given(hst.integers(min_value=0, max_value=10**6),
+           hst.integers(min_value=0, max_value=4),
+           hst.integers(min_value=1, max_value=2),
+           hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_all_pairs(self, seed, word_length, shear_degree, boundary, extra):
+        t = random_cqca(seed, word_length, shear_degree)
+        radius = t.matrix.max_entry_degree()
+        rule, seen_radius, verdict = checked_truncation(t, 2 * radius + extra, boundary)
+        assert seen_radius == radius
+        assert verdict == all_pairs_is_automorphism(rule)
+
+    def test_sweep_covers_failing_open_truncations(self):
+        verdicts = {"open": [], "ring": []}
+        for seed in range(30):
+            t = random_cqca(seed, 1 + seed % 4, 1 + seed % 2)
+            radius = t.matrix.max_entry_degree()
+            for boundary, found in verdicts.items():
+                for n_sites in range(2 * radius + 1, 2 * radius + 5):
+                    rule, _, verdict = checked_truncation(t, n_sites, boundary)
+                    assert verdict == all_pairs_is_automorphism(rule)
+                    found.append(verdict)
+        assert all(verdicts["ring"])
+        assert True in verdicts["open"] and False in verdicts["open"]
+
+    @pytest.mark.parametrize("t, boundary", WINDOW_CASES)
+    def test_corruption_within_window_rejected(self, t, boundary):
+        # X_a's image times a Pauli P stays an automorphism only when P is
+        # Z_a's image (fractal: the single-site X_a), so every other
+        # single-site P in the window must be caught.
+        radius = t.matrix.max_entry_degree()
+        n_sites = 2 * radius + 3
+        rule = truncate_rule(t, n_sites, boundary)
+        for a in range(n_sites):
+            for b in range(a - radius, a + radius + 1):
+                if boundary == "ring":
+                    b %= n_sites
+                elif not 0 <= b < n_sites:
+                    continue
+                for letter in "XYZ":
+                    pauli = FiniteOperator.single_site(n_sites, b, letter)
+                    z_image = rule.z_images[a]
+                    if (pauli.x_mask, pauli.z_mask) == (z_image.x_mask, z_image.z_mask):
+                        continue
+                    bad = rule.x_images[a] * pauli
+                    images = rule.x_images[:a] + (bad,) + rule.x_images[a + 1:]
+                    corrupted = dataclasses.replace(rule, x_images=images)
+                    assert not all_pairs_is_automorphism(corrupted)
+                    assert not finite_chain._is_automorphism(corrupted, radius)
+
+    @pytest.mark.parametrize("t, boundary", WINDOW_CASES)
+    def test_conflict_at_window_edge_rejected(self, t, boundary):
+        # Times the image of X_c, X_a's image anticommutes wrongly with Z_c's
+        # image alone, so the only broken pair is at distance 2 * radius.
+        radius = t.matrix.max_entry_degree()
+        n_sites = 4 * radius + 3
+        rule = truncate_rule(t, n_sites, boundary)
+        for a in range(n_sites):
+            c = a + 2 * radius
+            if boundary == "ring":
+                c %= n_sites
+            elif c >= n_sites:
+                continue
+            bad = rule.x_images[a] * rule.x_images[c]
+            images = rule.x_images[:a] + (bad,) + rule.x_images[a + 1:]
+            corrupted = dataclasses.replace(rule, x_images=images)
+            assert not all_pairs_is_automorphism(corrupted)
+            assert not finite_chain._is_automorphism(corrupted, radius)
 
 
 class TestEvolveFinite:
@@ -267,3 +381,83 @@ class TestRingEntropy:
                 continue
             expected = min(2 * state.n, size)
             assert ring_state_entropy(state, 32, range(size)) == expected
+
+
+def reference_ring_rows(seed, n_sites):
+    """Wrapped translates, checked over all pairs and by full rank as the reference."""
+    rows = ring_translates(seed, n_sites)
+    low = (1 << n_sites) - 1
+    for i in range(n_sites):
+        for j in range(i + 1, n_sites):
+            a, b = rows[i], rows[j]
+            crossings = (a & low & (b >> n_sites)).bit_count() + ((a >> n_sites) & b & low).bit_count()
+            if crossings % 2:
+                raise GeneratorsDoNotCommute(f"translates {i} and {j} anticommute")
+    rank = f2_rank(rows)
+    if rank != n_sites:
+        raise NotPure(n_sites - rank)
+    return rows
+
+
+MAX_RING = 40
+
+
+@hst.composite
+def ring_states(draw):
+    """(state, ring size): a random automaton's orbit of a valid seed, ring of at most MAX_RING."""
+    start = draw(hst.sampled_from(["Z@0", "ZXZ@-1", "YXY@-1", "XZX@-1"]))
+    t = random_cqca(draw(hst.integers(min_value=0, max_value=10**6)),
+                    draw(hst.integers(min_value=1, max_value=4)),
+                    draw(hst.integers(min_value=1, max_value=2)))
+    states = evolve(S(start), t, draw(hst.integers(min_value=1, max_value=6)))
+    fitting = [s for s in states if 2 * (2 * s.n + 1) <= MAX_RING]
+    # Drawn from the far end, so that Hypothesis favours wide states on large rings.
+    state = fitting[-1 - draw(hst.integers(min_value=0, max_value=len(fitting) - 1))]
+    shortest = max(2 * (2 * state.n + 1), 2)
+    return state, MAX_RING - draw(hst.integers(min_value=0, max_value=MAX_RING - shortest))
+
+
+class TestRingOracleFastPath:
+    @given(ring_states())
+    @settings(max_examples=50, deadline=None)
+    def test_profile_matches_reference(self, case):
+        state, n_sites = case
+        rows = reference_ring_rows(state, n_sites)
+        expected = [generator_entropy(rows, n_sites, range(size)) for size in range(n_sites + 1)]
+        assert ring_entropy_profile(state, n_sites) == expected
+
+    @given(ring_states(), hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_region_entropy_matches_reference(self, case, data):
+        state, n_sites = case
+        region = data.draw(hst.lists(hst.integers(min_value=0, max_value=n_sites - 1),
+                                     min_size=1, max_size=n_sites - 1, unique=True))
+        rows = reference_ring_rows(state, n_sites)
+        assert ring_state_entropy(state, n_sites, region) == generator_entropy(rows, n_sites, region)
+
+    # X1111Z@0 anticommutes only with its translates 5 and 7 sites away.
+    @pytest.mark.parametrize("literal, half_length",
+                             [("XZ@0", 1), ("ZXYXZ@-2", 2), ("X1111Z@0", 2)])
+    def test_bad_seed_raises_as_reference(self, literal, half_length):
+        bad = TIStabilizerState(parse_observable(literal), half_length)
+        with pytest.raises((GeneratorsDoNotCommute, NotPure)) as expected:
+            reference_ring_rows(bad, 12)
+        for compute in (lambda: ring_entropy_profile(bad, 12),
+                        lambda: ring_state_entropy(bad, 12, [5, 0, 7])):
+            with pytest.raises(expected.type) as got:
+                compute()
+            assert str(got.value) == str(expected.value)
+
+    def test_profile_ring_too_short(self):
+        with pytest.raises(ValueError, match="ring shorter"):
+            ring_entropy_profile(S("YXXXXXY@-3"), 12)
+
+    @pytest.mark.parametrize("region, message", [
+        ([12], "region site 12 outside 0..11"),
+        ([30], "region site 30 outside 0..11"),
+        ([0] * 11, "region site 0 is repeated"),
+        ([-1], "region site -1 outside 0..11"),
+    ])
+    def test_bad_region_site_is_named(self, region, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ring_state_entropy(S("ZXZ@-1"), 12, region)
