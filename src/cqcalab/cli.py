@@ -128,17 +128,30 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_site_letter(text: str, origin: int) -> tuple[int, str]:
+def _parse_site_letter(flag: str, text: str, origin: int, n_sites: int) -> tuple[int, str]:
+    """SITE:LETTER with SITE a label in origin..origin + n_sites - 1, as (index, letter)."""
     site_text, sep, letter = text.rpartition(":")
     if not sep or letter not in ("X", "Y", "Z"):
         raise UsageError(f"expected SITE:LETTER with letter X, Y or Z, got {text!r}")
-    return int(site_text) - origin, letter
+    try:
+        site = int(site_text)
+    except ValueError:
+        raise UsageError(f"{flag}: expected an integer site, got {site_text!r}") from None
+    if not origin <= site < origin + n_sites:
+        raise UsageError(f"{flag} site {site} falls off the chain")
+    return site - origin, letter
 
 
 def _cmd_finite(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    rule = finite_chain.truncate_rule(t, args.sites, args.boundary)
     origin = args.origin
+    if args.mirror is not None and args.boundary != "open":
+        raise UsageError("--mirror needs --boundary open")
+    mirror, parity = (
+        None if text is None else _parse_site_letter(flag, text, origin, args.sites)
+        for flag, text in (("--mirror", args.mirror), ("--parity", args.parity))
+    )
+    rule = finite_chain.truncate_rule(t, args.sites, args.boundary)
     did_something = False
     if args.obs is not None:
         did_something = True
@@ -157,18 +170,16 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         )
         for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
             print(f"{k}\t{evolved}")
-    if args.mirror is not None:
+    if mirror is not None:
         did_something = True
-        site, letter = _parse_site_letter(args.mirror, origin)
-        found = finite_chain.mirror_time(rule, site, letter)
+        found = finite_chain.mirror_time(rule, *mirror)
         if found is None:
             print(f"mirror {args.mirror}: not mirrored within {2 * args.sites + 2} steps")
         else:
             print(f"mirror {args.mirror}: step {found}")
-    if args.parity is not None:
+    if parity is not None:
         did_something = True
-        site, letter = _parse_site_letter(args.parity, origin)
-        op = FiniteOperator.single_site(args.sites, site, letter)
+        op = FiniteOperator.single_site(args.sites, *parity)
         for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
             print(f"{k}\t{finite_chain.global_y_parity(evolved):+d}")
     if not did_something:

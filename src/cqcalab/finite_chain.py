@@ -1,9 +1,10 @@
-"""Brute-force, phase-tracked Pauli simulation on finite chains and rings.
+"""Exact, phase-tracked Pauli dynamics on finite chains and rings.
 
-This is the independent oracle for the symbolic layer: operators are
-kept as two N-bit masks plus an exact power of i, rules store the
-truncated one-site images, and entanglement is measured by F2 rank of
-generator matrices instead of any closed form.
+Operators are two N-bit masks plus an exact power of i.  A rule stores
+the truncated one-site images; step maps their translation-invariant run
+in one bit-sliced pass and multiplies on the cut images at open ends one
+by one.  Ring entanglement is measured by F2 rank of generator matrices,
+an oracle independent of the symbolic closed forms.
 
 Convention: an operator is i**phase_exp times (product of X factors)
 times (product of Z factors), and the one-site images of X and Z are
@@ -14,6 +15,7 @@ rule's image of Y as -ZYZ.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from typing import Iterable, Literal, Sequence
 
 from .automaton import ValidatedCqca
@@ -127,34 +129,68 @@ def global_y_parity(op: FiniteOperator) -> int:
     return -1 if (op.x_mask ^ op.z_mask).bit_count() % 2 else 1
 
 
-def _poly_to_mask(p: LaurentPoly, n_sites: int, boundary: Boundary) -> int:
+def _poly_to_mask(p: LaurentPoly, n_sites: int) -> int:
     mask = 0
     for e in p.exponents():
-        if boundary == "ring":
-            mask ^= 1 << (e % n_sites)
-        elif 0 <= e < n_sites:
-            mask |= 1 << e
+        mask ^= 1 << (e % n_sites)
     return mask
+
+
+def _rotated(mask: int, shift: int, n_sites: int) -> int:
+    """The n_sites-bit mask rotated toward higher bits by 0 <= shift < n_sites."""
+    return ((mask << shift) | (mask >> (n_sites - shift))) & ((1 << n_sites) - 1)
 
 
 @dataclasses.dataclass(frozen=True)
 class FiniteRule:
-    """Truncated one-site images of an automaton on a finite chain."""
+    """Truncated one-site images of an automaton on a finite chain.
+
+    kernel = (lo, hi, phases, moves, pairs) is derived from the images.
+    Sites lo..hi-1 are the longest run whose images are those of lo
+    rotated by s - lo; phases are the i-powers of those of lo.  step XORs
+    the run's bits b[source] (0 = X, 1 = Z) rotated by shift into part p
+    for each move (p, source, shift), and takes one sign per set bit of
+    b[t] & (b[u] >> d) for each pair (t, u, d): the image of letter t has
+    Z on an odd number of X sites of the image of letter u d sites on.
+    """
 
     n_sites: int
     boundary: Boundary
     x_images: tuple[FiniteOperator, ...]
     z_images: tuple[FiniteOperator, ...]
+    kernel: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
-    def image_of(self, site: int, letter: str) -> FiniteOperator:
-        if letter == "X":
-            return self.x_images[site]
-        if letter == "Z":
-            return self.z_images[site]
-        if letter == "Y":
-            product = self.x_images[site] * self.z_images[site]
-            return dataclasses.replace(product, phase_exp=(product.phase_exp + 1) % 4)
-        raise ValueError(f"unknown Pauli letter {letter!r}")
+    def __post_init__(self):
+        n, full, xs, zs = self.n_sites, (1 << self.n_sites) - 1, self.x_images, self.z_images
+
+        def rotates(a, b):
+            return (
+                b.phase_exp == a.phase_exp
+                and b.x_mask == ((a.x_mask << 1) | (a.x_mask >> (n - 1))) & full
+                and b.z_mask == ((a.z_mask << 1) | (a.z_mask >> (n - 1))) & full
+            )
+
+        lo = hi = start = 0
+        for s in range(1, n + 1):
+            if s == n or not (rotates(xs[s - 1], xs[s]) and rotates(zs[s - 1], zs[s])):
+                lo, hi = (start, s) if s - start > hi - lo else (lo, hi)
+                start = s
+        kernel = (xs[lo], zs[lo])
+        bits = [[list(LaurentPoly(m).exponents()) for m in (k.x_mask, k.z_mask)] for k in kernel]
+        moves = tuple(
+            (p, source, (e - lo) % n) for source in (0, 1) for p in (0, 1) for e in bits[source][p]
+        )
+        # Rotated images overlap according to their offset mod n alone; on a
+        # short ring several bit pairs share an offset, so keep parities.
+        pairs: set[tuple[int, int, int]] = set()
+        for t, u in itertools.product((0, 1), repeat=2):
+            for e, f in itertools.product(bits[t][1], bits[u][0]):
+                d = (e - f) % n
+                # On one site the X factor comes first; run sites are < hi - lo apart.
+                if (d or (t, u) == (0, 1)) and d < hi - lo:
+                    pairs ^= {(t, u, d)}
+        phases = (kernel[0].phase_exp, kernel[1].phase_exp)
+        object.__setattr__(self, "kernel", (lo, hi, phases, moves, tuple(pairs)))
 
 
 def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteRule:
@@ -170,72 +206,50 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
     radius = t.matrix.max_entry_degree()
     if n_sites <= 2 * radius:
         raise ValueError(f"need more than {2 * radius} sites for this neighborhood")
-    x_images = []
-    z_images = []
-    for site in range(n_sites):
-        for images, column in (
-            (x_images, (t.matrix.t11, t.matrix.t21)),
-            (z_images, (t.matrix.t12, t.matrix.t22)),
-        ):
-            plus, minus = (p.shifted(site) for p in column)
-            images.append(
-                FiniteOperator.hermitian(
-                    n_sites,
-                    _poly_to_mask(plus, n_sites, boundary),
-                    _poly_to_mask(minus, n_sites, boundary),
-                )
-            )
-    rule = FiniteRule(n_sites, boundary, tuple(x_images), tuple(z_images))
+    images = []
+    for column in ((t.matrix.t11, t.matrix.t21), (t.matrix.t12, t.matrix.t22)):
+        if boundary == "ring":
+            # A ring rule is translation invariant: rotate the site-0 image.
+            x0, z0 = (_poly_to_mask(p, n_sites) for p in column)
+            masks = [(_rotated(x0, s, n_sites), _rotated(z0, s, n_sites)) for s in range(n_sites)]
+        else:
+            masks = [[p.coefficients(-s, n_sites) for p in column] for s in range(n_sites)]
+        # Hermitian with + sign: i to the number of Y factors.
+        images.append(tuple(FiniteOperator(n_sites, x, z, (x & z).bit_count()) for x, z in masks))
+    rule = FiniteRule(n_sites, boundary, *images)
     if not _is_automorphism(rule, radius):
-        raise BoundaryBreaksAutomorphism(
-            "cut one-site images violate the commutation relations"
-        )
+        raise BoundaryBreaksAutomorphism("cut one-site images violate the commutation relations")
     return rule
-
-
-def _generators(rule: FiniteRule) -> list[FiniteOperator]:
-    return list(rule.x_images) + list(rule.z_images)
 
 
 def _is_automorphism(rule: FiniteRule, radius: int) -> bool:
     """Check M^T J M = J: image symplectic products match the source ones.
 
-    Each one-site image lies within radius sites of its source (cyclically
-    on a ring), so images of sites more than 2 * radius apart have disjoint
-    supports and commute, as their sources do; only nearer pairs are checked.
-    The chain must be longer than 2 * radius, as truncate_rule ensures.
+    Images lie within radius sites of their sources (cyclically on a ring),
+    so only pairs of sites at most 2 * radius apart can fail.  In the
+    kernel's run a pair's products depend only on its offset, so the run is
+    checked from its first site, and each site outside it against all its
+    near partners.  The chain must be longer than 2 * radius.
     """
-    n = rule.n_sites
-    xs, zs = rule.x_images, rule.z_images
-    for a in range(n):
+    n, (lo, hi), xs, zs = rule.n_sites, rule.kernel[:2], rule.x_images, rule.z_images
+    for a in (lo, *range(lo), *range(hi, n)):
         # Source generators X_a, Z_b anticommute iff a == b.
         if xs[a].commutes_with(zs[a]):
             return False
-        for b in range(a + 1, a + 2 * radius + 1):
-            if b >= n:
-                if rule.boundary == "open":
-                    break
-                b -= n
-            for image in (xs[a], zs[a]):
-                if not (image.commutes_with(xs[b]) and image.commutes_with(zs[b])):
-                    return False
+        for b in range(a - 2 * radius, a + 2 * radius + 1):
+            b = b % n if rule.boundary == "ring" else b
+            if b != a and 0 <= b < n and not all(
+                p.commutes_with(q) for p in (xs[a], zs[a]) for q in (xs[b], zs[b])
+            ):
+                return False
     return True
 
 
-def rule_matrix(rule: FiniteRule) -> list[int]:
-    """Columns of the 2N x 2N binary update matrix, each a 2N-bit int.
-
-    Column j is the phase-space image of basis vector j, with bits
-    0..N-1 the X part and bits N..2N-1 the Z part.
-    """
-    n = rule.n_sites
-    return [op.x_mask | (op.z_mask << n) for op in _generators(rule)]
-
-
-def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
-    """One automorphism step with full i-power phase tracking."""
-    result = FiniteOperator(rule.n_sites, 0, 0, op.phase_exp)
-    for site in range(rule.n_sites):
+def _times_sites(
+    result: FiniteOperator, rule: FiniteRule, op: FiniteOperator, sites: range
+) -> FiniteOperator:
+    """result times the images of op's factors on the given sites, in order."""
+    for site in sites:
         if (op.x_mask >> site) & 1:
             result = result * rule.x_images[site]
         if (op.z_mask >> site) & 1:
@@ -243,9 +257,32 @@ def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
     return result
 
 
-def evolve_finite(
-    rule: FiniteRule, op: FiniteOperator, steps: int
-) -> list[FiniteOperator]:
+def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
+    """One automorphism step with full i-power phase tracking.
+
+    The kernel's run is mapped in one pass, in the affine-plus-quadratic
+    form of a Clifford step: masks by an XOR of rotations, the phase by
+    popcounts.  The other sites' images are multiplied on one at a time,
+    as prefix * bulk * suffix in site order.
+    """
+    n, (lo, hi, phases, moves, pairs) = rule.n_sites, rule.kernel
+    run = (1 << hi) - (1 << lo)
+    b = (op.x_mask & run, op.z_mask & run)
+    out = [0, 0]
+    for part, source, shift in moves:
+        v = b[source] << shift
+        out[part] ^= v ^ (v >> n)
+    crossings = 0
+    for t, u, d in pairs:
+        crossings ^= b[t] & (b[u] >> d)
+    phase = phases[0] * b[0].bit_count() + phases[1] * b[1].bit_count() + 2 * crossings.bit_count()
+    full = (1 << n) - 1
+    bulk = FiniteOperator(n, out[0] & full, out[1] & full, op.phase_exp + phase)
+    prefix = _times_sites(FiniteOperator.identity(n), rule, op, range(lo))
+    return _times_sites(prefix * bulk, rule, op, range(hi, n))
+
+
+def evolve_finite(rule: FiniteRule, op: FiniteOperator, steps: int) -> list[FiniteOperator]:
     """The operator after 0..steps applications of the rule."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -258,27 +295,29 @@ def evolve_finite(
 def invert_rule(rule: FiniteRule) -> FiniteRule:
     """The rule of the inverse automorphism, phases fixed by back-tracking.
 
-    The mask action is inverted over F2; each inverse image's phase is
-    then chosen so that one forward step maps it back onto the original
-    single-site Pauli, sign included.
+    For symplectic M (truncate_rule checks it), M^-1 = Omega M^T Omega,
+    Omega swapping the X and Z halves: the inverse image of X_s has X (Z)
+    bit k where the image of Z_k (X_k) has Z on site s; that of Z_s reads
+    X on site s.  Each phase makes one forward step return X_s or Z_s with
+    + sign; a step landing elsewhere means M is not symplectic (ValueError).
     """
     n = rule.n_sites
-    inverse_cols = _invert_f2_matrix(rule_matrix(rule), 2 * n)
-    x_images = []
-    z_images = []
-    for j, images in [(0, x_images), (n, z_images)]:
-        for site in range(n):
-            col = inverse_cols[j + site]
-            bare = FiniteOperator(n, col & ((1 << n) - 1), col >> n)
-            forward = step(rule, bare)
-            target = FiniteOperator.single_site(n, site, "X" if j == 0 else "Z")
-            images.append(
-                dataclasses.replace(
-                    bare,
-                    phase_exp=(bare.phase_exp + target.phase_exp - forward.phase_exp) % 4,
-                )
-            )
-    return FiniteRule(n, rule.boundary, tuple(x_images), tuple(z_images))
+    # rows[part][source][s] has bit k where the image of source_k has part on site s.
+    rows = [[[0] * n for _ in "XZ"] for _ in "XZ"]
+    for source, images in enumerate((rule.x_images, rule.z_images)):
+        for k, image in enumerate(images):
+            for part, mask in enumerate((image.x_mask, image.z_mask)):
+                for s in LaurentPoly(mask).exponents():
+                    rows[part][source][s] |= 1 << k
+    inverse = []
+    for part, letter in ((1, "X"), (0, "Z")):
+        for site, (x, z) in enumerate(zip(rows[part][1], rows[part][0])):
+            forward = step(rule, FiniteOperator(n, x, z))
+            target = FiniteOperator.single_site(n, site, letter)
+            if (forward.x_mask, forward.z_mask) != (target.x_mask, target.z_mask):
+                raise ValueError("the rule's update matrix is not symplectic")
+            inverse.append(FiniteOperator(n, x, z, -forward.phase_exp))
+    return FiniteRule(n, rule.boundary, tuple(inverse[:n]), tuple(inverse[n:]))
 
 
 def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
@@ -317,40 +356,6 @@ def f2_rank(rows: Iterable[int]) -> int:
     return len(basis)
 
 
-def _invert_f2_matrix(columns: Sequence[int], dim: int) -> list[int]:
-    """Invert a dim x dim F2 matrix given as bitset columns."""
-    # Work on rows of [M | I]; row i starts as (bits of row i of M, e_i).
-    rows = []
-    for i in range(dim):
-        m_row = 0
-        for j, col in enumerate(columns):
-            m_row |= ((col >> i) & 1) << j
-        rows.append((m_row, 1 << i))
-    for pivot_col in range(dim):
-        pivot_row = next(
-            (
-                r
-                for r in range(pivot_col, dim)
-                if (rows[r][0] >> pivot_col) & 1
-            ),
-            None,
-        )
-        if pivot_row is None:
-            raise ValueError("matrix is singular over F2")
-        rows[pivot_col], rows[pivot_row] = rows[pivot_row], rows[pivot_col]
-        for r in range(dim):
-            if r != pivot_col and (rows[r][0] >> pivot_col) & 1:
-                rows[r] = (rows[r][0] ^ rows[pivot_col][0], rows[r][1] ^ rows[pivot_col][1])
-    # rows[i][1] is now row i of the inverse; transpose back to columns.
-    inverse_cols = []
-    for j in range(dim):
-        col = 0
-        for i in range(dim):
-            col |= ((rows[i][1] >> j) & 1) << i
-        inverse_cols.append(col)
-    return inverse_cols
-
-
 # -- ring-state entropy oracle -----------------------------------------
 
 
@@ -380,8 +385,8 @@ def ring_translates(seed: TIStabilizerState, n_sites: int) -> list[int]:
     for x in range(n_sites):
         shifted = seed.xi.shifted(x)
         rows.append(
-            _poly_to_mask(shifted.xi_plus, n_sites, "ring")
-            | (_poly_to_mask(shifted.xi_minus, n_sites, "ring") << n_sites)
+            _poly_to_mask(shifted.xi_plus, n_sites)
+            | (_poly_to_mask(shifted.xi_minus, n_sites) << n_sites)
         )
     return rows
 
@@ -389,11 +394,6 @@ def ring_translates(seed: TIStabilizerState, n_sites: int) -> list[int]:
 def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
     if n_sites < 2 * (2 * seed.n + 1):
         raise ValueError("ring shorter than twice the generator length")
-
-
-def _rotated(mask: int, shift: int, n_sites: int) -> int:
-    """The n_sites-bit mask rotated toward higher bits by 0 <= shift < n_sites."""
-    return ((mask << shift) | (mask >> (n_sites - shift))) & ((1 << n_sites) - 1)
 
 
 def _prefix_ranks(
@@ -409,7 +409,7 @@ def _prefix_ranks(
     translates must pairwise commute and be independent (pure state): the
     full rank must be n_sites.
     """
-    row = [_poly_to_mask(p, n_sites, "ring") for p in (seed.xi.xi_plus, seed.xi.xi_minus)]
+    row = [_poly_to_mask(p, n_sites) for p in (seed.xi.xi_plus, seed.xi.xi_minus)]
     x0, z0 = row
     for d in range(1, n_sites):
         crossings = (x0 & _rotated(z0, d, n_sites)).bit_count() + (

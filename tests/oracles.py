@@ -1,9 +1,11 @@
 """Independent brute-force implementations used as test oracles.
 
 Everything here works on exponent sets / dicts with naive loops and
-never touches the bitset code paths it checks.
+never touches the bitset code paths it checks; the finite-chain step
+multiplies one-site images with FiniteOperator.__mul__, site by site.
 """
 
+from cqcalab.finite_chain import FiniteOperator
 from cqcalab.laurent import LaurentPoly
 
 
@@ -69,3 +71,14 @@ def matrix_terms(m):
         (to_terms(m.t11), to_terms(m.t12)),
         (to_terms(m.t21), to_terms(m.t22)),
     )
+
+
+def step_per_site(rule, op):
+    """Reference for finite_chain.step: the one-site images multiplied in site order."""
+    result = FiniteOperator(rule.n_sites, 0, 0, op.phase_exp)
+    for site in range(rule.n_sites):
+        if (op.x_mask >> site) & 1:
+            result = result * rule.x_images[site]
+        if (op.z_mask >> site) & 1:
+            result = result * rule.z_images[site]
+    return result

@@ -215,6 +215,23 @@ class TestFinite:
         err = usage_exit(capsys, "finite", "glider", "--sites", "0")
         assert "--sites: must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--mirror", "9:Z"], "--mirror site 9 falls off the chain"),
+            # labels run 3..9, so label 2 is off the chain (index -1)
+            (["--origin", "3", "--mirror", "2:Z"], "--mirror site 2 falls off the chain"),
+            (["--mirror", "a:Z"], "--mirror: expected an integer site, got 'a'"),
+            (["--boundary", "ring", "--mirror", "1:Z"], "--mirror needs --boundary open"),
+            (["--parity", "7:X"], "--parity site 7 falls off the chain"),
+            (["--origin=-3", "--parity=-4:Y"], "--parity site -4 falls off the chain"),
+            (["--parity", "1.5:Y"], "--parity: expected an integer site, got '1.5'"),
+        ],
+    )
+    def test_bad_site_letter_is_usage_error(self, capsys, extra, message):
+        code, out, err = run(capsys, "finite", "glider", "--sites", "7", *extra)
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
 
 class TestOracle:
     def test_small_sweep(self, capsys):

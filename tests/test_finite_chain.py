@@ -1,11 +1,15 @@
 import dataclasses
+import itertools
+import random
+import time
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hst
 
 from cqcalab import finite_chain
-from cqcalab.automaton import fractal, glider, random_cqca, swap
+from cqcalab.automaton import fractal, glider, identity, random_cqca, shear, swap
+from cqcalab.cli import main
 from cqcalab.finite_chain import (
     BoundaryBreaksAutomorphism,
     FiniteOperator,
@@ -20,16 +24,22 @@ from cqcalab.finite_chain import (
     ring_entropy_profile,
     ring_state_entropy,
     ring_translates,
-    rule_matrix,
     step,
     truncate_rule,
 )
+from cqcalab.laurent import LaurentPoly
 from cqcalab.phase_space import parse_observable
 from cqcalab.stabilizer import TIStabilizerState, all_spins_up, evolve, validate_state
+from oracles import step_per_site
 
 
 def S(text):
     return validate_state(parse_observable(text))
+
+
+def update_columns(rule):
+    """Columns of the 2N x 2N update matrix: image j as X bits low, Z bits high."""
+    return [op.x_mask | (op.z_mask << rule.n_sites) for op in rule.x_images + rule.z_images]
 
 
 def op7(letters, phase=0):
@@ -101,7 +111,7 @@ class TestTruncateRule:
     def test_automorphism_condition_holds(self):
         for boundary in ("open", "ring"):
             rule = truncate_rule(glider(), 9, boundary)
-            cols = rule_matrix(rule)
+            cols = update_columns(rule)
             assert f2_rank(cols) == 18
 
     def test_fractal_open_truncation_is_still_an_automorphism(self):
@@ -283,6 +293,189 @@ class TestEvolveFinite:
         for _ in range(steps):
             recovered = step(back, recovered)
         assert recovered == op
+
+
+def random_operator(rng, n_sites):
+    return FiniteOperator(n_sites, rng.getrandbits(n_sites), rng.getrandbits(n_sites), rng.randrange(4))
+
+
+def assert_step_matches_reference(rule, rng, count=8):
+    for _ in range(count):
+        op = random_operator(rng, rule.n_sites)
+        assert step(rule, op) == step_per_site(rule, op)
+
+
+def truncations(t, sizes):
+    """The valid ring and open truncations of t to each of the sizes."""
+    for n_sites in sizes:
+        for boundary in ("ring", "open"):
+            try:
+                yield truncate_rule(t, n_sites, boundary)
+            except BoundaryBreaksAutomorphism:
+                pass
+
+
+RADIUS_ZERO = [identity(), swap(), shear(LaurentPoly.one())]
+
+
+class TestBitSlicedStep:
+    """step against the per-site product of images in tests/oracles.py, phases included."""
+
+    @given(hst.integers(min_value=0, max_value=10**6),
+           hst.integers(min_value=0, max_value=4),
+           hst.integers(min_value=1, max_value=2),
+           hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=0, max_value=48))
+    @settings(max_examples=80, deadline=None)
+    def test_random_rules(self, seed, word_length, shear_degree, boundary, extra):
+        t = random_cqca(seed, word_length, shear_degree)
+        n_sites = 2 * t.matrix.max_entry_degree() + 1 + extra
+        try:
+            rule = truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            return
+        rng = random.Random(seed)
+        assert_step_matches_reference(rule, rng)
+        assert_step_matches_reference(invert_rule(rule), rng)
+
+    @pytest.mark.parametrize("t", [glider(), fractal(), glider() @ glider(), random_cqca(0, 3, 2)])
+    def test_short_rings_where_wrapped_offsets_overlap(self, t):
+        # On rings of at most 4r sites an image pair overlaps at d and N - d at once.
+        radius = t.matrix.max_entry_degree()
+        rng = random.Random(radius)
+        for rule in truncations(t, range(2 * radius + 1, 4 * radius + 2)):
+            assert_step_matches_reference(rule, rng, count=30)
+
+    @pytest.mark.parametrize("t", RADIUS_ZERO)
+    def test_radius_zero_rules_and_single_sites(self, t):
+        for rule in truncations(t, range(1, 4)):
+            n = rule.n_sites
+            for x, z, phase in itertools.product(range(1 << n), range(1 << n), range(4)):
+                op = FiniteOperator(n, x, z, phase)
+                assert step(rule, op) == step_per_site(rule, op)
+
+    @given(hst.integers(min_value=0, max_value=10**6), hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_corrupted_rules(self, seed, boundary, corruptions):
+        # Images replaced by arbitrary operators break translation invariance
+        # (and the automorphism property); step must still multiply images.
+        rng = random.Random(seed)
+        t = random_cqca(seed, 2, 1)
+        n_sites = 2 * t.matrix.max_entry_degree() + 1 + rng.randrange(20)
+        try:
+            rule = truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            rule = truncate_rule(t, n_sites, "ring")
+        images = [list(rule.x_images), list(rule.z_images)]
+        for _ in range(corruptions):
+            images[rng.randrange(2)][rng.randrange(n_sites)] = random_operator(rng, n_sites)
+        corrupted = finite_chain.FiniteRule(n_sites, rule.boundary, *map(tuple, images))
+        assert_step_matches_reference(corrupted, rng)
+
+    @pytest.mark.parametrize("t", [glider(), fractal(), random_cqca(0, 3, 2)])
+    def test_kernel_run(self, t):
+        radius = t.matrix.max_entry_degree()
+        n_sites = 4 * radius + 9
+        ring = truncate_rule(t, n_sites, "ring")
+        assert ring.kernel[:2] == (0, n_sites)
+        inverse = invert_rule(ring)
+        assert inverse.kernel[:2] == (0, n_sites)
+        for rule in truncations(t, [n_sites]):
+            if rule.boundary == "open":
+                lo, hi = rule.kernel[:2]
+                assert lo <= radius and hi >= n_sites - radius
+                lo, hi = invert_rule(rule).kernel[:2]
+                assert lo <= 2 * radius and hi >= n_sites - 2 * radius
+
+    @pytest.mark.parametrize("t, n_sites", [(glider(), 7), (fractal(), 7), (glider(), 64)])
+    def test_mirror_time_pinned_to_reference(self, t, n_sites):
+        rule = truncate_rule(t, n_sites, "open")
+        sites = range(n_sites) if n_sites < 10 else (0, 1, 2, 31, 62, 63)
+        cases = [(site, letter) for site in sites for letter in "XYZ"]
+        fast = [mirror_time(rule, *case) for case in cases]
+        with mock.patch.object(finite_chain, "step", step_per_site):
+            assert fast == [mirror_time(rule, *case) for case in cases]
+
+    @pytest.mark.parametrize("n_sites, parity", [(7, "-2:Y"), (64, "5:Z"), (64, "-30:X")])
+    def test_parity_table_pinned_to_reference(self, capsys, n_sites, parity):
+        argv = ["finite", "glider", "--sites", str(n_sites), f"--origin={-(n_sites // 2)}",
+                f"--parity={parity}", "--steps", str(2 * n_sites)]
+        assert main(argv) == 0
+        fast = capsys.readouterr().out
+        with mock.patch.object(finite_chain, "step", step_per_site):
+            assert main(argv) == 0
+        assert fast == capsys.readouterr().out
+        assert len(fast.splitlines()) == 2 * n_sites + 1
+
+
+def gauss_jordan_inverse(columns, dim):
+    """Reference: invert a dim x dim F2 matrix given as bitset columns."""
+    # Work on rows of [M | I]; row i starts as (bits of row i of M, e_i).
+    rows = []
+    for i in range(dim):
+        m_row = 0
+        for j, col in enumerate(columns):
+            m_row |= ((col >> i) & 1) << j
+        rows.append((m_row, 1 << i))
+    for pivot_col in range(dim):
+        pivot_row = next(r for r in range(pivot_col, dim) if (rows[r][0] >> pivot_col) & 1)
+        rows[pivot_col], rows[pivot_row] = rows[pivot_row], rows[pivot_col]
+        for r in range(dim):
+            if r != pivot_col and (rows[r][0] >> pivot_col) & 1:
+                rows[r] = (rows[r][0] ^ rows[pivot_col][0], rows[r][1] ^ rows[pivot_col][1])
+    # rows[i][1] is now row i of the inverse; transpose back to columns.
+    return [sum(((rows[i][1] >> j) & 1) << i for i in range(dim)) for j in range(dim)]
+
+
+class TestInvertRule:
+    @given(hst.integers(min_value=0, max_value=10**6),
+           hst.integers(min_value=0, max_value=4),
+           hst.integers(min_value=1, max_value=2),
+           hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=0, max_value=24))
+    @settings(max_examples=60, deadline=None)
+    def test_masks_match_gauss_jordan(self, seed, word_length, shear_degree, boundary, extra):
+        t = random_cqca(seed, word_length, shear_degree)
+        n_sites = 2 * t.matrix.max_entry_degree() + 1 + extra
+        try:
+            rule = truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            return
+        inverse = invert_rule(rule)
+        assert update_columns(inverse) == gauss_jordan_inverse(update_columns(rule), 2 * n_sites)
+        # Phases: one forward step returns each inverse image to X_s or Z_s, sign included.
+        for site in range(n_sites):
+            assert step(rule, inverse.x_images[site]) == FiniteOperator.single_site(n_sites, site, "X")
+            assert step(rule, inverse.z_images[site]) == FiniteOperator.single_site(n_sites, site, "Z")
+
+    def test_sweep_covers_open_and_ring(self):
+        seen = set()
+        for seed in range(12):
+            t = random_cqca(seed, 1 + seed % 4, 1 + seed % 2)
+            radius = t.matrix.max_entry_degree()
+            for rule in truncations(t, [2 * radius + 1, 2 * radius + 6]):
+                columns = gauss_jordan_inverse(update_columns(rule), 2 * rule.n_sites)
+                assert update_columns(invert_rule(rule)) == columns
+                seen.add(rule.boundary)
+        assert seen == {"open", "ring"}
+
+    @pytest.mark.parametrize("t, boundary", [(glider(), "ring"), (fractal(), "open"), (identity(), "open")])
+    def test_non_symplectic_rule_rejected(self, t, boundary):
+        rule = truncate_rule(t, 9, boundary)
+        for bad in (rule.x_images[4] * FiniteOperator.single_site(9, 6, "Z"), FiniteOperator.identity(9)):
+            corrupted = dataclasses.replace(rule, x_images=rule.x_images[:4] + (bad,) + rule.x_images[5:])
+            with pytest.raises(ValueError, match="not symplectic"):
+                invert_rule(corrupted)
+
+    def test_large_ring_inverts_quickly(self):
+        # The Gauss-Jordan inverse took over a second here at 1024 sites.
+        rule = truncate_rule(fractal(), 1024, "ring")
+        start = time.perf_counter()
+        inverse = invert_rule(rule)
+        assert time.perf_counter() - start < 1.0
+        op = FiniteOperator(1024, 0b1011 << 500, 0b110 << 600, 1)
+        assert step(inverse, step(rule, op)) == op
 
 
 class TestMirrorTime:
