@@ -3,7 +3,6 @@
 from .laurent import LaurentPoly, gcd, parse_poly, render_poly
 from .phase_space import (
     PhaseVector,
-    compose_observables,
     format_observable,
     parse_observable,
     pauli_to_phase_space,
@@ -33,7 +32,6 @@ from .stabilizer import (
     TIStabilizerState,
     all_spins_up,
     asymptotic_rate,
-    bipartite_entanglement,
     entanglement_trajectory,
     evolve,
     extract_logical_pairs,

@@ -107,12 +107,6 @@ class CqcaMatrix:
                 radius = max(radius, abs(span[0]), abs(span[1]))
         return radius
 
-    def apply(self, v: PhaseVector) -> PhaseVector:
-        return PhaseVector(
-            self.t11 * v.xi_plus + self.t12 * v.xi_minus,
-            self.t21 * v.xi_plus + self.t22 * v.xi_minus,
-        )
-
     def __str__(self) -> str:
         return "[[{}, {}], [{}, {}]]".format(*map(render_poly, self.entries()))
 
@@ -145,7 +139,11 @@ class ValidatedCqca:
     class_tag: ClassTag
 
     def apply(self, v: PhaseVector) -> PhaseVector:
-        return self.matrix.apply(v)
+        m = self.matrix
+        return PhaseVector(
+            m.t11 * v.xi_plus + m.t12 * v.xi_minus,
+            m.t21 * v.xi_plus + m.t22 * v.xi_minus,
+        )
 
     def trace(self) -> LaurentPoly:
         return self.matrix.trace()
@@ -217,7 +215,7 @@ def validate(m: CqcaMatrix) -> ValidatedCqca:
         a != 0
         and m.t12.is_zero
         and m.t21.is_zero
-        and m.t11 == m.t22 == LaurentPoly.monomial(a)
+        and m.t11 == m.t22 == LaurentPoly(1, a)
     ):
         raise PureShift(f"bare lattice shift by {a} sites")
     centered = center(m, a)

@@ -100,10 +100,6 @@ class FiniteOperator:
         ).bit_count()
         return crossings % 2 == 0
 
-    @property
-    def support_size(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
-
     def hermitian_sign(self) -> int:
         """+1 or -1 for a Hermitian operator; raises otherwise."""
         y_count = (self.x_mask & self.z_mask).bit_count()
@@ -161,13 +157,13 @@ class FiniteRule:
     kernel: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, full, xs, zs = self.n_sites, (1 << self.n_sites) - 1, self.x_images, self.z_images
+        n, xs, zs = self.n_sites, self.x_images, self.z_images
 
         def rotates(a, b):
             return (
                 b.phase_exp == a.phase_exp
-                and b.x_mask == ((a.x_mask << 1) | (a.x_mask >> (n - 1))) & full
-                and b.z_mask == ((a.z_mask << 1) | (a.z_mask >> (n - 1))) & full
+                and b.x_mask == _rotated(a.x_mask, 1, n)
+                and b.z_mask == _rotated(a.z_mask, 1, n)
             )
 
         lo = hi = start = 0

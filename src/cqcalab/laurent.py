@@ -2,8 +2,9 @@
 
 A polynomial is stored as a Python-int bitset together with the exponent
 of its lowest-order term: bit k of ``mask`` is the coefficient of
-``u**(min_exp + k)``.  Addition is XOR, multiplication is a carry-less
-convolution, so every operation is exact.
+``u**(min_exp + k)``.  Addition is XOR, multiplication a carry-less
+convolution, squaring a Frobenius bit-spread and gcd Euclid's algorithm
+on shifted XORs, so every operation is exact.
 
 Canonical form: the zero polynomial is ``(mask=0, min_exp=0)``; any
 nonzero polynomial has bit 0 of the mask set (the offset absorbs trailing
@@ -23,7 +24,7 @@ def _clmul(a: int, b: int) -> int:
     acc = 0
     while a:
         low = a & -a
-        acc ^= b * low
+        acc ^= b << (low.bit_length() - 1)
         a ^= low
     return acc
 
@@ -35,22 +36,12 @@ _SPREAD_LOW_NIBBLE = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
 _SPREAD_HIGH_NIBBLE = bytes(_SPREAD_NIBBLE[b >> 4] for b in range(256))
 
 
-def _divmod_bits(a: int, b: int) -> tuple[int, int]:
-    """Divide bitset polynomial a by nonzero b, returning (quotient, remainder)."""
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    q = 0
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db and a:
-        shift = (a.bit_length() - 1) - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
 def _gcd_bits(a: int, b: int) -> int:
+    # a mod b: clear a's top bit with a shifted copy of b until a is shorter.
     while b:
-        a, b = b, _divmod_bits(a, b)[1]
+        while a.bit_length() >= b.bit_length():
+            a ^= b << (a.bit_length() - b.bit_length())
+        a, b = b, a
     return a
 
 
@@ -84,11 +75,6 @@ class LaurentPoly:
         return cls(1, 0)
 
     @classmethod
-    def monomial(cls, exponent: int) -> "LaurentPoly":
-        """The single term u**exponent."""
-        return cls(1, exponent)
-
-    @classmethod
     def from_exponents(cls, exponents) -> "LaurentPoly":
         """Sum of u**e over the given exponents; repeats cancel mod 2."""
         exponents = list(exponents)
@@ -106,25 +92,11 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return self.mask == 0
 
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no maximal exponent")
-        return self.min_exp + self.mask.bit_length() - 1
-
     def degree_span(self) -> tuple[int, int] | None:
         """(lowest exponent, highest exponent), or None for the zero polynomial."""
         if self.is_zero:
             return None
-        return self.min_exp, self.max_exp
-
-    def dg(self) -> int | None:
-        """Highest exponent with a nonzero coefficient; None for zero.
-
-        Callers must branch on None explicitly; it never compares like a
-        number.
-        """
-        return None if self.is_zero else self.max_exp
+        return self.min_exp, self.min_exp + self.mask.bit_length() - 1
 
     def coefficient(self, exponent: int) -> int:
         k = exponent - self.min_exp
@@ -141,12 +113,12 @@ class LaurentPoly:
         return mask & ((1 << width) - 1)
 
     def exponents(self) -> Iterator[int]:
-        """Exponents with coefficient 1, in increasing order."""
-        mask, base = self.mask, self.min_exp
-        while mask:
-            low = mask & -mask
-            yield base + low.bit_length() - 1
-            mask ^= low
+        """Exponents with coefficient 1, in increasing order, in one pass over the digits."""
+        digits = format(self.mask, "b")[::-1]
+        k = digits.find("1")
+        while k >= 0:
+            yield self.min_exp + k
+            k = digits.find("1", k + 1)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -183,44 +155,11 @@ class LaurentPoly:
         spread[1::2] = raw.translate(_SPREAD_HIGH_NIBBLE)
         return LaurentPoly(int.from_bytes(spread, "little"), 2 * self.min_exp)
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        """Left-to-right square-and-multiply over the bits of k."""
-        if k < 0:
-            raise ValueError("negative powers are not defined in the polynomial ring")
-        if k == 0:
-            return LaurentPoly.one()
-        result = self
-        for bit in format(k, "b")[1:]:
-            result = result.squared()
-            if bit == "1":
-                result = result * self
-        return result
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit u**k."""
         if self.is_zero:
             return self
         return LaurentPoly(self.mask, self.min_exp + k)
-
-    def __divmod__(self, other: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Division with remainder in the Laurent ring (divisor nonzero)."""
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _divmod_bits(self.mask, other.mask)
-        return (
-            LaurentPoly(q, self.min_exp - other.min_exp),
-            LaurentPoly(r, self.min_exp),
-        )
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        """True iff self divides other exactly (up to units)."""
-        if self.is_zero:
-            return other.is_zero
-        return divmod(other, self)[1].is_zero
-
-    def unit_normalized(self) -> "LaurentPoly":
-        """The associate with min_exp = 0 (units are exactly the monomials u**k)."""
-        return LaurentPoly(self.mask, 0)
 
     # -- structure ----------------------------------------------------
 
@@ -231,7 +170,7 @@ class LaurentPoly:
         """
         if self.is_zero:
             return True
-        lo, hi = self.min_exp, self.max_exp
+        lo, hi = self.degree_span()
         if lo + hi != 2 * center:
             return False
         width = self.mask.bit_length()

@@ -48,25 +48,16 @@ class PhaseVector:
     def zero(cls) -> "PhaseVector":
         return cls(LaurentPoly.zero(), LaurentPoly.zero())
 
-    @property
-    def is_identity(self) -> bool:
-        return self.xi_plus.is_zero and self.xi_minus.is_zero
-
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
+        """Phase-space image of the operator product (phases dropped)."""
         return PhaseVector(self.xi_plus + other.xi_plus, self.xi_minus + other.xi_minus)
-
-    def dg(self) -> int | None:
-        """Max exponent over both components; None for the identity."""
-        highs = [p.max_exp for p in (self.xi_plus, self.xi_minus) if not p.is_zero]
-        return max(highs) if highs else None
 
     def support(self) -> tuple[int, int] | None:
         """(leftmost site, rightmost site) touched, or None for the identity."""
-        if self.is_identity:
+        spans = [p.degree_span() for p in (self.xi_plus, self.xi_minus) if not p.is_zero]
+        if not spans:
             return None
-        lows = [p.min_exp for p in (self.xi_plus, self.xi_minus) if not p.is_zero]
-        highs = [p.max_exp for p in (self.xi_plus, self.xi_minus) if not p.is_zero]
-        return min(lows), max(highs)
+        return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 
     def letter_at(self, site: int) -> str:
         """The letter on one site; the per-cell reference for :meth:`letters`."""
@@ -83,16 +74,11 @@ class PhaseVector:
             width,
         )
 
-    def restricted(self, lo: int | None = None, hi: int | None = None) -> "PhaseVector":
-        """Keep only the tensor factors on sites lo..hi (inclusive ends)."""
+    def restricted(self, lo: int) -> "PhaseVector":
+        """Keep only the tensor factors on sites lo and to its right."""
 
         def cut(p: LaurentPoly) -> LaurentPoly:
-            kept = [
-                e
-                for e in p.exponents()
-                if (lo is None or e >= lo) and (hi is None or e <= hi)
-            ]
-            return LaurentPoly.from_exponents(kept)
+            return LaurentPoly(p.mask >> max(lo - p.min_exp, 0), max(lo, p.min_exp))
 
         return PhaseVector(cut(self.xi_plus), cut(self.xi_minus))
 
@@ -138,11 +124,6 @@ def symplectic_form(a: PhaseVector, b: PhaseVector) -> int:
     return (
         coefficient_dot(a.xi_plus, b.xi_minus) ^ coefficient_dot(a.xi_minus, b.xi_plus)
     )
-
-
-def compose_observables(a: PhaseVector, b: PhaseVector) -> PhaseVector:
-    """Phase-space image of the operator product (phases dropped)."""
-    return a + b
 
 
 def parse_observable(text: str) -> PhaseVector:

@@ -8,7 +8,8 @@ ebits across any bipartite cut, min(2n, L) ebits between a region of L
 sites and the rest of the chain.
 
 Evolution validates its input seed once: a validated automaton keeps
-every later seed valid (see ``evolve``), so no step repeats the gcd.
+every later seed valid (see ``evolve``), so no step repeats the gcd; the
+asymptotic rate jumps straight to steps t/2 and t by ``ValidatedCqca.power``.
 """
 
 from __future__ import annotations
@@ -71,9 +72,8 @@ def validate_state(v: PhaseVector) -> TIStabilizerState:
         if degenerate:
             raise SingleLetterType("only one non-identity letter type occurs")
         raise CommonDivisor(common)
-    half_length = v.dg()
-    assert half_length is not None  # center occupied, so the seed is nonzero
-    return TIStabilizerState(v, half_length)
+    # The center is occupied, so the seed is nonzero and has a support.
+    return TIStabilizerState(v, v.support()[1])
 
 
 def all_spins_up() -> TIStabilizerState:
@@ -94,7 +94,7 @@ def evolve(
     coprime components stay coprime.  Symmetric and coprime imply a
     non-identity centre: a symmetric polynomial without constant term is a
     sum of u**-k + u**k = u**-k (1 + u**k)**2, all divisible by 1 + u.
-    Hence every later state is valid, and its half-length is its dg.
+    Hence every later state is valid, and its half-length is support()[1].
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -102,13 +102,8 @@ def evolve(
     xi = s.xi
     for _ in range(steps):
         xi = t.apply(xi)
-        out.append(TIStabilizerState(xi, xi.dg()))
+        out.append(TIStabilizerState(xi, xi.support()[1]))
     return out
-
-
-def bipartite_entanglement(s: TIStabilizerState) -> int:
-    """Maximally entangled qubit pairs across any bipartite cut: exactly n."""
-    return s.n
 
 
 def tripartite_entanglement(s: TIStabilizerState, region_length: int) -> int:
@@ -139,7 +134,8 @@ def entanglement_trajectory(
             if region_length is not None
             else None
         )
-        points.append(TrajectoryPoint(k, state.n, bipartite_entanglement(state), e_tri))
+        # Across any bipartite cut the state holds exactly n ebits.
+        points.append(TrajectoryPoint(k, state.n, state.n, e_tri))
     return points
 
 
@@ -162,14 +158,15 @@ def asymptotic_rate(
 
     Predicted is the trace degree.  The empirical slope is taken over the
     second half of the run only, since the early steps may transiently
-    destroy entanglement before linear growth sets in.
+    destroy entanglement before linear growth sets in.  Both ends are
+    jumps T**k xi from the seed, so memory stays linear in steps.
     """
     if steps < MIN_RATE_STEPS:
         raise ValueError(f"need at least {MIN_RATE_STEPS} steps for a meaningful slope")
+    validate_state(s.xi)
     half = steps // 2
-    states = evolve(s, t, steps)
-    empirical = Fraction(states[steps].n - states[half].n, steps - half)
-    return t.trace_degree(), empirical
+    n_half, n_end = (t.power(k).apply(s.xi).support()[1] for k in (half, steps))
+    return t.trace_degree(), Fraction(n_end - n_half, steps - half)
 
 
 def extract_logical_pairs(

@@ -31,6 +31,22 @@ def convolve_terms(a, b) -> frozenset[int]:
     return frozenset(e for e, c in counts.items() if c % 2)
 
 
+def remainder_terms(a, b) -> frozenset[int]:
+    """Naive long division of term sets, each shifted to lowest exponent 0.
+
+    The remainder is empty iff b divides a in the Laurent ring, whose
+    units are the monomials u**k.
+    """
+    a_low, b_low = min(a, default=0), min(b)
+    rest = {e - a_low for e in a}
+    divisor = [e - b_low for e in b]
+    top = max(divisor)
+    while rest and max(rest) >= top:
+        shift = max(rest) - top
+        rest ^= {e + shift for e in divisor}
+    return frozenset(rest)
+
+
 def reflect_terms(terms, center: int) -> frozenset[int]:
     return frozenset(2 * center - e for e in terms)
 

@@ -150,6 +150,12 @@ class TestRate:
         assert code == 0
         assert out == "predicted=1 empirical=1\n"
 
+    def test_hundred_thousand_steps(self, capsys):
+        # Two jumps by the closed-form power; evolving every state would hold O(t^2) bits.
+        code, out, _ = run(capsys, "rate", "fractal", "--steps", "100000")
+        assert code == 0
+        assert out == "predicted=1 empirical=1\n"
+
     def test_short_horizon_is_usage_error(self, capsys):
         err = usage_exit(capsys, "rate", "fractal", "--steps", "10")
         assert "--steps: must be at least 16" in err

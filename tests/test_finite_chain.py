@@ -255,7 +255,7 @@ class TestEvolveFinite:
     def test_reflection_at_open_ends(self):
         rule = truncate_rule(glider(), 7, "open")
         op = FiniteOperator.single_site(7, 1, "Z")
-        sizes = [o.support_size for o in evolve_finite(rule, op, 16)]
+        sizes = [(o.x_mask | o.z_mask).bit_count() for o in evolve_finite(rule, op, 16)]
         assert sizes[0] == 1
         assert 1 in sizes[1:]  # returns to a single site at the mirror step
         for a, b in zip(sizes, sizes[1:]):
@@ -360,6 +360,7 @@ class TestBitSlicedStep:
     def test_corrupted_rules(self, seed, boundary, corruptions):
         # Images replaced by arbitrary operators break translation invariance
         # (and the automorphism property); step must still multiply images.
+        # One image keeps its masks but not its phase, which must end the run too.
         rng = random.Random(seed)
         t = random_cqca(seed, 2, 1)
         n_sites = 2 * t.matrix.max_entry_degree() + 1 + rng.randrange(20)
@@ -370,6 +371,11 @@ class TestBitSlicedStep:
         images = [list(rule.x_images), list(rule.z_images)]
         for _ in range(corruptions):
             images[rng.randrange(2)][rng.randrange(n_sites)] = random_operator(rng, n_sites)
+        part, site = rng.randrange(2), rng.randrange(n_sites)
+        image = images[part][site]
+        images[part][site] = FiniteOperator(
+            n_sites, image.x_mask, image.z_mask, image.phase_exp + 1 + rng.randrange(3)
+        )
         corrupted = finite_chain.FiniteRule(n_sites, rule.boundary, *map(tuple, images))
         assert_step_matches_reference(corrupted, rng)
 

@@ -12,12 +12,25 @@ from cqcalab.laurent import (
     render_poly,
 )
 
-from oracles import convolve_terms, from_terms, reflect_terms, to_terms, xor_terms
+from oracles import (
+    convolve_terms,
+    from_terms,
+    reflect_terms,
+    remainder_terms,
+    to_terms,
+    xor_terms,
+)
 
 polys = hst.builds(
     LaurentPoly,
     mask=hst.integers(min_value=0, max_value=(1 << 24) - 1),
     min_exp=hst.integers(min_value=-12, max_value=12),
+)
+
+wide_polys = hst.builds(
+    LaurentPoly,
+    mask=hst.integers(min_value=0, max_value=1 << 700),
+    min_exp=hst.integers(min_value=-400, max_value=400),
 )
 
 # Every polynomial with stored span <= 4, over a few offsets.
@@ -48,7 +61,7 @@ class TestParseRender:
         assert P(" u^-2+1 +u ") == LaurentPoly.from_exponents([-2, 0, 1])
 
     def test_signed_exponent_with_plus(self):
-        assert P("u^+3") == LaurentPoly.monomial(3)
+        assert P("u^+3") == LaurentPoly(1, 3)
 
     @pytest.mark.parametrize("bad", ["", "u^", "1 + ", "v", "u^x", "0 + 1", "1 1"])
     def test_syntax_errors_carry_position(self, bad):
@@ -121,7 +134,7 @@ class TestArithmetic:
         if p.is_zero or q.is_zero:
             assert (p * q).is_zero
         else:
-            assert (p * q).max_exp == p.max_exp + q.max_exp
+            assert (p * q).degree_span()[1] == p.degree_span()[1] + q.degree_span()[1]
 
 
 class TestSquaredAndPow:
@@ -138,27 +151,14 @@ class TestSquaredAndPow:
         p = LaurentPoly(int.from_bytes(bytes(range(256)), "little") | 1, -1000)
         assert to_terms(p.squared()) == {2 * e for e in to_terms(p)}
 
-    @given(polys, hst.integers(min_value=0, max_value=9))
-    def test_pow_against_repeated_convolution(self, p, k):
-        terms = frozenset({0})
-        for _ in range(k):
-            terms = convolve_terms(terms, to_terms(p))
-        assert to_terms(p ** k) == terms
-
-    def test_negative_pow_rejected(self):
-        with pytest.raises(ValueError):
-            P("u") ** -1
-
 
 class TestDegreeSpan:
     def test_glider_trace(self):
         p = P("u^-1 + u")
         assert p.degree_span() == (-1, 1)
-        assert p.dg() == 1
 
     def test_constant(self):
         assert LaurentPoly.one().degree_span() == (0, 0)
-        assert LaurentPoly.one().dg() == 0
 
     def test_squared_trace(self):
         p = P("u^-1 + u") * P("u^-1 + u")
@@ -166,7 +166,6 @@ class TestDegreeSpan:
 
     def test_zero_is_sentinel(self):
         assert LaurentPoly.zero().degree_span() is None
-        assert LaurentPoly.zero().dg() is None
 
 
 class TestGcd:
@@ -175,14 +174,14 @@ class TestGcd:
 
     def test_idempotent_unit_normalized(self):
         p = P("u^-3 + u^-1")
-        assert gcd(p, p) == p.unit_normalized()
+        assert gcd(p, p) == P("1 + u^2")
 
     def test_square_factor(self):
         assert gcd(P("1 + u^2"), P("1 + u")) == P("1 + u")
 
     def test_gcd_with_zero(self):
         p = P("u^-2 + u")
-        assert gcd(p, LaurentPoly.zero()) == p.unit_normalized()
+        assert gcd(p, LaurentPoly.zero()) == P("1 + u^3")
 
     def test_both_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -192,21 +191,15 @@ class TestGcd:
     def test_gcd_divides_both(self, p, q):
         if p.is_zero and q.is_zero:
             return
-        d = gcd(p, q)
-        assert d.divides(p) and d.divides(q)
+        d = to_terms(gcd(p, q))
+        assert not remainder_terms(to_terms(p), d)
+        assert not remainder_terms(to_terms(q), d)
 
     @given(polys, polys, polys)
     def test_common_divisors_divide_gcd(self, d, a, b):
         if d.is_zero or (a.is_zero and b.is_zero):
             return
-        assert d.divides(gcd(d * a, d * b))
-
-    @given(polys, polys)
-    def test_divmod_reconstructs(self, p, q):
-        if q.is_zero:
-            return
-        quotient, remainder = divmod(p, q)
-        assert quotient * q + remainder == p
+        assert not remainder_terms(to_terms(gcd(d * a, d * b)), to_terms(d))
 
 
 class TestReflectionSymmetry:
@@ -242,6 +235,11 @@ class TestCoefficients:
     def test_against_coefficient(self, p, lo, width):
         expected = sum(p.coefficient(lo + k) << k for k in range(width))
         assert p.coefficients(lo, width) == expected
+
+    @given(hst.one_of(polys, wide_polys))
+    def test_exponents_against_bits(self, p):
+        expected = [p.min_exp + k for k in range(p.mask.bit_length()) if (p.mask >> k) & 1]
+        assert list(p.exponents()) == expected
 
     def test_far_windows_are_empty(self):
         p = P("u^-1 + u^3")

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as hst
 from cqcalab.laurent import LaurentPoly, parse_poly
 from cqcalab.phase_space import (
     PhaseVector,
-    compose_observables,
     format_observable,
     parse_observable,
     pauli_to_phase_space,
@@ -12,7 +11,7 @@ from cqcalab.phase_space import (
     symplectic_form,
 )
 
-from oracles import scalar_product_terms, to_terms
+from oracles import from_terms, scalar_product_terms, to_terms
 
 letters = hst.text(alphabet="1XYZ", min_size=1, max_size=9)
 vectors = hst.builds(
@@ -93,29 +92,26 @@ class TestSymplecticForm:
 
     @given(vectors, vectors, vectors)
     def test_bilinear(self, a, b, c):
-        assert symplectic_form(compose_observables(a, b), c) == (
+        assert symplectic_form(a + b, c) == (
             symplectic_form(a, c) ^ symplectic_form(b, c)
         )
 
 
 class TestCompose:
     def test_paper_decomposition(self):
-        v = compose_observables(
-            compose_observables(
-                pauli_to_phase_space("Z", -1), pauli_to_phase_space("Y", 0)
-            ),
-            pauli_to_phase_space("X", 1),
+        v = (
+            pauli_to_phase_space("Z", -1)
+            + pauli_to_phase_space("Y", 0)
+            + pauli_to_phase_space("X", 1)
         )
         assert v == PhaseVector(P("1 + u"), P("u^-1 + 1"))
 
     @given(vectors)
     def test_involution(self, a):
-        assert compose_observables(a, a) == PhaseVector.zero()
+        assert a + a == PhaseVector.zero()
 
     def test_x_times_z_is_y(self):
-        v = compose_observables(
-            pauli_to_phase_space("X", 0), pauli_to_phase_space("Z", 0)
-        )
+        v = pauli_to_phase_space("X", 0) + pauli_to_phase_space("Z", 0)
         assert v == pauli_to_phase_space("Y", 0)
 
 
@@ -165,7 +161,14 @@ class TestRestriction:
         v = pauli_to_phase_space("ZXZ", -1)
         assert v.shifted(3) == pauli_to_phase_space("ZXZ", 2)
 
+    @given(vectors, hst.integers(min_value=-15, max_value=15))
+    def test_restrict_against_term_sets(self, v, lo):
+        def kept(p):
+            return from_terms(e for e in to_terms(p) if e >= lo)
+
+        assert v.restricted(lo) == PhaseVector(kept(v.xi_plus), kept(v.xi_minus))
+
     def test_dg_takes_widest_component(self):
         v = PhaseVector(P("u^-2 + u^2"), P("1"))
-        assert v.dg() == 2
-        assert PhaseVector.zero().dg() is None
+        assert v.support() == (-2, 2)
+        assert PhaseVector.zero().support() is None

@@ -13,7 +13,6 @@ from cqcalab.stabilizer import (
     TIStabilizerState,
     all_spins_up,
     asymptotic_rate,
-    bipartite_entanglement,
     entanglement_trajectory,
     evolve,
     extract_logical_pairs,
@@ -122,9 +121,9 @@ class TestEvolve:
 
 class TestClosedForms:
     def test_bipartite_examples(self):
-        assert bipartite_entanglement(S("YXY@-1")) == 1
-        assert bipartite_entanglement(all_spins_up()) == 0
-        assert bipartite_entanglement(S("YXXXXXY@-3")) == 3
+        assert S("YXY@-1").n == 1
+        assert all_spins_up().n == 0
+        assert S("YXXXXXY@-3").n == 3
 
     def test_tripartite_examples(self):
         assert tripartite_entanglement(S("YXXXXXY@-3"), 30) == 6
@@ -171,6 +170,26 @@ class TestAsymptoticRate:
     def test_minimum_horizon_enforced(self):
         with pytest.raises(ValueError):
             asymptotic_rate(glider(), all_spins_up(), 8)
+
+    @given(
+        random_automata,
+        hst.sampled_from(["Z@0", "YXY@-1", "XZX@-1", "YXXXXXY@-3"]),
+        hst.integers(min_value=0, max_value=4),
+        hst.integers(min_value=16, max_value=300),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_jumps_match_evolve_slope(self, t, literal, prep, steps):
+        # The seed is itself a few steps of t from a literal, so it need not
+        # be short or symmetric in letters.
+        seed = evolve(S(literal), t, prep)[-1]
+        states = evolve(seed, t, steps)
+        half = steps // 2
+        slope = Fraction(states[steps].n - states[half].n, steps - half)
+        assert asymptotic_rate(t, seed, steps) == (t.trace_degree(), slope)
+
+    def test_invalid_seed_rejected(self):
+        with pytest.raises(NotReflectionSymmetric):
+            asymptotic_rate(glider(), TIStabilizerState(parse_observable("XX@0"), 0), 16)
 
     @given(random_automata)
     @settings(max_examples=30, deadline=None)
