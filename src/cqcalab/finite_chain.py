@@ -132,9 +132,9 @@ def _poly_to_mask(p: LaurentPoly, n_sites: int) -> int:
     return mask
 
 
-def _rotated(mask: int, shift: int, n_sites: int) -> int:
-    """The n_sites-bit mask rotated toward higher bits by 0 <= shift < n_sites."""
-    return ((mask << shift) | (mask >> (n_sites - shift))) & ((1 << n_sites) - 1)
+def _rotated(mask: int, shift: int, n_sites: int, full: int) -> int:
+    """The n_sites-bit mask rotated up by 0 <= shift < n_sites; full = (1 << n_sites) - 1."""
+    return ((mask << shift) | (mask >> (n_sites - shift))) & full
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,12 +158,13 @@ class FiniteRule:
 
     def __post_init__(self):
         n, xs, zs = self.n_sites, self.x_images, self.z_images
+        full = (1 << n) - 1
 
         def rotates(a, b):
             return (
                 b.phase_exp == a.phase_exp
-                and b.x_mask == _rotated(a.x_mask, 1, n)
-                and b.z_mask == _rotated(a.z_mask, 1, n)
+                and b.x_mask == _rotated(a.x_mask, 1, n, full)
+                and b.z_mask == _rotated(a.z_mask, 1, n, full)
             )
 
         lo = hi = start = 0
@@ -207,7 +208,8 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
         if boundary == "ring":
             # A ring rule is translation invariant: rotate the site-0 image.
             x0, z0 = (_poly_to_mask(p, n_sites) for p in column)
-            masks = [(_rotated(x0, s, n_sites), _rotated(z0, s, n_sites)) for s in range(n_sites)]
+            full = (1 << n_sites) - 1
+            masks = [(_rotated(x0, s, n_sites, full), _rotated(z0, s, n_sites, full)) for s in range(n_sites)]
         else:
             masks = [[p.coefficients(-s, n_sites) for p in column] for s in range(n_sites)]
         # Hermitian with + sign: i to the number of Y factors.
@@ -392,57 +394,61 @@ def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
         raise ValueError("ring shorter than twice the generator length")
 
 
-def _prefix_ranks(
-    seed: TIStabilizerState, n_sites: int, sites: Sequence[int]
-) -> list[int]:
-    """Ranks of the wrapped generator matrix restricted to each prefix of sites.
+def _echelon(rows: Iterable[int]) -> dict[int, int]:
+    """A basis of the rows' span keyed by lowest set bit (its index + 1).
 
-    sites lists every ring site once.  Translation invariance does the
-    per-state work once: translates i and j commute iff 0 and (j - i) mod N
-    do, and with translate -y as bit y, the column of site s is the
-    wrapped seed row rotated down by s.  One incremental elimination over
-    the columns in the given order then yields every prefix rank.  The
-    translates must pairwise commute and be independent (pure state): the
-    full rank must be n_sites.
+    Each pivot at a row's lowest bit clears that bit and changes only higher ones.
     """
-    row = [_poly_to_mask(p, n_sites) for p in (seed.xi.xi_plus, seed.xi.xi_minus)]
-    x0, z0 = row
-    for d in range(1, n_sites):
-        crossings = (x0 & _rotated(z0, d, n_sites)).bit_count() + (
-            z0 & _rotated(x0, d, n_sites)
-        ).bit_count()
-        if crossings % 2:
-            raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
-    # Basis columns keyed by their top bit.  Columns move down as s grows,
-    # so a new column's top bit is usually free and its reduction short.
     pivots: dict[int, int] = {}
-    ranks = [0]
-    for s in sites:
-        for part in row:
-            v = _rotated(part, -s % n_sites, n_sites)
-            while v:
-                top = v.bit_length()
-                if top not in pivots:
-                    pivots[top] = v
-                    break
-                v ^= pivots[top]
-        ranks.append(len(pivots))
-    if ranks[-1] != n_sites:
-        raise NotPure(n_sites - ranks[-1])
-    return ranks
+    for v in rows:
+        while v:
+            low = (v & -v).bit_length()
+            if low not in pivots:
+                pivots[low] = v
+                break
+            v ^= pivots[low]
+    return pivots
+
+
+def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
+    """Echelon basis of the N wrapped translates, site s at bits 2s (X) and 2s + 1 (Z).
+
+    Translation invariance does the per-state work once: translates i and
+    j commute iff 0 and (j - i) mod N do, which can fail only when their
+    supports of width w overlap, min(d, N - d) <= w; and translate y is
+    the interleaved seed row rotated by 2y.  The translates must pairwise
+    commute and be independent (pure state): the basis must have N rows.
+    """
+    n, full = n_sites, (1 << n_sites) - 1
+    x0, z0 = (_poly_to_mask(p, n) for p in (seed.xi.xi_plus, seed.xi.xi_minus))
+    lo, hi = seed.xi.support() or (0, 0)
+    for d in range(1, min(hi - lo, n - 1) + 1):
+        if ((x0 & _rotated(z0, d, n, full)) ^ (z0 & _rotated(x0, d, n, full))).bit_count() % 2:
+            raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
+    # The Frobenius spread p(u) -> p(u^2) moves site bit s to bit 2s.
+    row = sum(LaurentPoly(m).squared().coefficients(0, 2 * n) << z for z, m in enumerate((x0, z0)))
+    full_2n = (1 << 2 * n) - 1
+    pivots = _echelon(_rotated(row, 2 * y, 2 * n, full_2n) for y in range(n))
+    if len(pivots) != n:
+        raise NotPure(n - len(pivots))
+    return pivots
 
 
 def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
     """Exact ebit counts S([0, L)) for L = 0..n_sites on an n_sites ring.
 
-    Read off one column-rank pass in site order (the clipped gauge of
-    Nahum-Ruhman-Vijay-Haah): S = rank of the generators restricted to
-    the region minus its size.  The ring must be at least twice the
-    generator length so that wrapping cannot collapse generators onto each
-    other.
+    S is the rank of the generators restricted to the region minus its
+    size.  Row operations keep the rank of every set of columns, and in
+    echelon form (the clipped gauge of Nahum-Ruhman-Vijay-Haah) the
+    columns of sites 0..L-1 have rank equal to the number of pivots on them.
+    The ring must be at least twice the generator length so that wrapping
+    cannot collapse generators onto each other.
     """
     _check_ring_length(seed, n_sites)
-    ranks = _prefix_ranks(seed, n_sites, range(n_sites))
+    per_site = [0] * n_sites
+    for low in _ring_basis(seed, n_sites):
+        per_site[(low - 1) >> 1] += 1
+    ranks = itertools.accumulate(per_site, initial=0)
     return [rank - size for size, rank in enumerate(ranks)]
 
 
@@ -451,9 +457,9 @@ def ring_state_entropy(
 ) -> int:
     """Exact ebit count between a region and the rest of the ring.
 
-    The region is a proper nonempty set of distinct sites in 0..N-1.  The
-    rank pass runs over the region's sites first, then the rest; see
-    ring_entropy_profile for the conditions on the seed and the ring.
+    The region is a proper nonempty set of distinct sites in 0..N-1; the
+    count is the rank of the basis rows masked to its bits minus its size.
+    See ring_entropy_profile for the conditions on the seed and the ring.
     """
     _check_ring_length(seed, n_sites)
     region = list(region)
@@ -466,5 +472,6 @@ def ring_state_entropy(
         if site not in rest:
             raise ValueError(f"region site {site} is repeated")
         rest.remove(site)
-    ranks = _prefix_ranks(seed, n_sites, region + sorted(rest))
-    return ranks[len(region)] - len(region)
+    bits = sum(3 << 2 * site for site in region)
+    rows = _ring_basis(seed, n_sites).values()
+    return len(_echelon(row & bits for row in rows)) - len(region)

@@ -2,10 +2,12 @@
 
 Everything here works on exponent sets / dicts with naive loops and
 never touches the bitset code paths it checks; the finite-chain step
-multiplies one-site images with FiniteOperator.__mul__, site by site.
+multiplies one-site images with FiniteOperator.__mul__, site by site,
+and prefix_ranks checks the ring oracle's row elimination by an
+independent column-rank pass.
 """
 
-from cqcalab.finite_chain import FiniteOperator
+from cqcalab.finite_chain import FiniteOperator, GeneratorsDoNotCommute, NotPure
 from cqcalab.laurent import LaurentPoly
 
 
@@ -98,3 +100,46 @@ def step_per_site(rule, op):
         if (op.z_mask >> site) & 1:
             result = result * rule.z_images[site]
     return result
+
+
+def prefix_ranks(seed, n_sites, sites):
+    """Reference for the ring oracle: ranks of the wrapped translates on each prefix of sites.
+
+    sites lists every ring site once.  With translate -y as bit y, the
+    column of site s is the wrapped seed row rotated down by s, and one
+    incremental elimination over the columns in the given order yields
+    every prefix rank.  Every offset's commutation is checked, and the full
+    rank must be n_sites.
+    """
+    full = (1 << n_sites) - 1
+
+    def wrapped(p):
+        mask = 0
+        for e in p.exponents():
+            mask ^= 1 << (e % n_sites)
+        return mask
+
+    def rotated(mask, shift):
+        return ((mask << shift) | (mask >> (n_sites - shift))) & full
+
+    row = (wrapped(seed.xi.xi_plus), wrapped(seed.xi.xi_minus))
+    x0, z0 = row
+    for d in range(1, n_sites):
+        if ((x0 & rotated(z0, d)).bit_count() + (z0 & rotated(x0, d)).bit_count()) % 2:
+            raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
+    # Basis columns keyed by their top bit.
+    pivots = {}
+    ranks = [0]
+    for s in sites:
+        for part in row:
+            v = rotated(part, -s % n_sites)
+            while v:
+                top = v.bit_length()
+                if top not in pivots:
+                    pivots[top] = v
+                    break
+                v ^= pivots[top]
+        ranks.append(len(pivots))
+    if ranks[-1] != n_sites:
+        raise NotPure(n_sites - ranks[-1])
+    return ranks

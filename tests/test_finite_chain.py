@@ -28,9 +28,9 @@ from cqcalab.finite_chain import (
     truncate_rule,
 )
 from cqcalab.laurent import LaurentPoly
-from cqcalab.phase_space import parse_observable
+from cqcalab.phase_space import PhaseVector, parse_observable
 from cqcalab.stabilizer import TIStabilizerState, all_spins_up, evolve, validate_state
-from oracles import step_per_site
+from oracles import prefix_ranks, step_per_site
 
 
 def S(text):
@@ -634,9 +634,13 @@ class TestRingOracleFastPath:
         rows = reference_ring_rows(state, n_sites)
         assert ring_state_entropy(state, n_sites, region) == generator_entropy(rows, n_sites, region)
 
-    # X1111Z@0 anticommutes only with its translates 5 and 7 sites away.
-    @pytest.mark.parametrize("literal, half_length",
-                             [("XZ@0", 1), ("ZXYXZ@-2", 2), ("X1111Z@0", 2)])
+    # X1111Z@0 anticommutes only with its translates 5 and 7 sites away; with
+    # half-length 1 its support (width 5) is wider than 2n, so the
+    # commutation window must follow the support, not n.  The translates of
+    # ZZ@0 multiply to the identity: rank-deficient by exactly 1.
+    @pytest.mark.parametrize("literal, half_length", [
+        ("XZ@0", 1), ("ZXYXZ@-2", 2), ("X1111Z@0", 2), ("X1111Z@0", 1), ("ZZ@0", 1),
+    ])
     def test_bad_seed_raises_as_reference(self, literal, half_length):
         bad = TIStabilizerState(parse_observable(literal), half_length)
         with pytest.raises((GeneratorsDoNotCommute, NotPure)) as expected:
@@ -646,6 +650,20 @@ class TestRingOracleFastPath:
             with pytest.raises(expected.type) as got:
                 compute()
             assert str(got.value) == str(expected.value)
+
+    def test_zero_generator_is_not_pure(self):
+        zero = TIStabilizerState(PhaseVector.zero(), 0)
+        for compute in (lambda: ring_entropy_profile(zero, 12),
+                        lambda: ring_state_entropy(zero, 12, [5, 0, 7])):
+            with pytest.raises(NotPure, match="^generator matrix is rank-deficient by 12$") as got:
+                compute()
+            assert got.value.rank_deficit == 12
+
+    def test_off_origin_seed_matches_reference(self):
+        state = TIStabilizerState(parse_observable("ZXZ@3"), 1)
+        rows = reference_ring_rows(state, 12)
+        expected = [generator_entropy(rows, 12, range(size)) for size in range(13)]
+        assert ring_entropy_profile(state, 12) == expected
 
     def test_profile_ring_too_short(self):
         with pytest.raises(ValueError, match="ring shorter"):
@@ -660,3 +678,35 @@ class TestRingOracleFastPath:
     def test_bad_region_site_is_named(self, region, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ring_state_entropy(S("ZXZ@-1"), 12, region)
+
+
+def orbit_states(seed, n_sites):
+    """All-spins-up's orbit under random_cqca(seed, 6, 2): one state per half-length fitting the ring."""
+    states = {}
+    for state in evolve(all_spins_up(), random_cqca(seed, 6, 2), n_sites // 4):
+        if 2 * (2 * state.n + 1) <= n_sites:
+            states.setdefault(state.n, state)
+    return [states[n] for n in sorted(states)]
+
+
+class TestRingOracleAtScale:
+    """The row elimination against the former column pass on rings beyond Hypothesis's reach."""
+
+    @pytest.mark.parametrize("seed, n_sites",
+                             [(0, 64), (3, 128), (4, 256), (1, 512), (0, 1024), (3, 1024)])
+    def test_profile_matches_column_pass(self, seed, n_sites):
+        states = orbit_states(seed, n_sites)
+        # About five widths from the narrowest up to the widest, which spans about half the ring.
+        picked = states[:-1:max(len(states) // 4, 1)] + states[-1:]
+        assert 4 * picked[-1].n >= n_sites // 2 - 8
+        for state in picked:
+            ranks = prefix_ranks(state, n_sites, range(n_sites))
+            assert ring_entropy_profile(state, n_sites) == [r - size for size, r in enumerate(ranks)]
+
+    @pytest.mark.parametrize("seed, n_sites", [(3, 128), (4, 256)])
+    def test_region_entropy_matches_column_pass(self, seed, n_sites):
+        rng = random.Random(seed)
+        for state in orbit_states(seed, n_sites)[::4]:
+            region = rng.sample(range(n_sites), rng.randrange(1, n_sites))
+            ranks = prefix_ranks(state, n_sites, region + sorted(set(range(n_sites)) - set(region)))
+            assert ring_state_entropy(state, n_sites, region) == ranks[len(region)] - len(region)
