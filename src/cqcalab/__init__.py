@@ -45,6 +45,7 @@ from .finite_chain import (
     evolve_finite,
     global_y_parity,
     mirror_time,
+    oracle_sweep,
     ring_entropy_profile,
     ring_state_entropy,
     truncate_rule,

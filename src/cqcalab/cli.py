@@ -152,9 +152,7 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         for flag, text in (("--mirror", args.mirror), ("--parity", args.parity))
     )
     rule = finite_chain.truncate_rule(t, args.sites, args.boundary)
-    did_something = False
     if args.obs is not None:
-        did_something = True
         v = parse_observable(args.obs)
         span = v.support()
         if span is not None:
@@ -171,49 +169,33 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
             print(f"{k}\t{evolved}")
     if mirror is not None:
-        did_something = True
         found = finite_chain.mirror_time(rule, *mirror)
         if found is None:
             print(f"mirror {args.mirror}: not mirrored within {2 * args.sites + 2} steps")
         else:
             print(f"mirror {args.mirror}: step {found}")
     if parity is not None:
-        did_something = True
         op = FiniteOperator.single_site(args.sites, *parity)
         for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
             print(f"{k}\t{finite_chain.global_y_parity(evolved):+d}")
-    if not did_something:
+    if args.obs is None and mirror is None and parity is None:
         print(f"valid rule on {args.sites} sites ({args.boundary} boundary)")
     return 0
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    mismatches = 0
-    checks = 0
+    checks = mismatches = 0
     for sample in range(args.samples):
         t = automaton.random_cqca(args.seed + sample, args.word_length, args.shear_degree)
-        states = stabilizer.evolve(stabilizer.all_spins_up(), t, args.steps)
-        for k, state in enumerate(states):
-            if args.ring < 2 * (2 * state.n + 1):
-                break
-            sizes = [
-                size
-                for size in args.regions
-                if 2 * state.n <= size <= args.ring - 2 * state.n - 2
-            ]
-            if not sizes:
-                continue
-            profile = finite_chain.ring_entropy_profile(state, args.ring)
-            for size in sizes:
-                measured = profile[size]
-                expected = min(2 * state.n, size)
-                checks += 1
-                if measured != expected:
-                    mismatches += 1
-                    print(
-                        f"MISMATCH sample={sample} step={k} region={size}: "
-                        f"rank oracle {measured} vs closed form {expected}"
-                    )
+        for k, state, size, measured in finite_chain.oracle_sweep(t, args.steps, args.ring, args.regions):
+            expected = min(2 * state.n, size)
+            checks += 1
+            if measured != expected:
+                mismatches += 1
+                print(
+                    f"MISMATCH sample={sample} step={k} region={size}: "
+                    f"rank oracle {measured} vs closed form {expected}"
+                )
     print(f"{checks} checks, {mismatches} mismatches")
     if not checks:
         print(
@@ -312,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
+from . import stabilizer
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly
-from .phase_space import _CODE_LETTER, site_letters
+from .phase_space import _CODE_LETTER, _LETTER_BITS, site_letters
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
@@ -64,23 +65,15 @@ class FiniteOperator:
         """The Hermitian single-site Pauli with + sign."""
         if not 0 <= site < n_sites:
             raise ValueError(f"site {site} outside 0..{n_sites - 1}")
-        if letter == "X":
-            return cls(n_sites, 1 << site, 0, 0)
-        if letter == "Z":
-            return cls(n_sites, 0, 1 << site, 0)
-        if letter == "Y":
-            return cls(n_sites, 1 << site, 1 << site, 1)
-        raise ValueError(f"unknown Pauli letter {letter!r}")
+        if letter == "1" or letter not in _LETTER_BITS:
+            raise ValueError(f"unknown Pauli letter {letter!r}")
+        x, z = _LETTER_BITS[letter]
+        return cls.hermitian(n_sites, x << site, z << site)
 
     @classmethod
-    def hermitian(cls, n_sites: int, x_mask: int, z_mask: int, sign: int = 1) -> "FiniteOperator":
-        """The Hermitian Pauli product sign * (tensor of letters)."""
-        phase = (x_mask & z_mask).bit_count() % 4
-        if sign == -1:
-            phase += 2
-        elif sign != 1:
-            raise ValueError("sign must be +1 or -1")
-        return cls(n_sites, x_mask, z_mask, phase)
+    def hermitian(cls, n_sites: int, x_mask: int, z_mask: int) -> "FiniteOperator":
+        """The Hermitian Pauli product with + sign: i to the number of Y factors."""
+        return cls(n_sites, x_mask, z_mask, (x_mask & z_mask).bit_count())
 
     def __mul__(self, other: "FiniteOperator") -> "FiniteOperator":
         if self.n_sites != other.n_sites:
@@ -112,12 +105,8 @@ class FiniteOperator:
         return _CODE_LETTER[x_bit | z_bit << 1]
 
     def __str__(self) -> str:
-        letters = site_letters(self.x_mask, self.z_mask, self.n_sites)
-        try:
-            prefix = {1: "+", -1: "-"}[self.hermitian_sign()]
-        except ValueError:
-            prefix = {1: "+i", 3: "-i"}[(self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4]
-        return prefix + letters
+        prefix = ("+", "+i", "-", "-i")[(self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4]
+        return prefix + site_letters(self.x_mask, self.z_mask, self.n_sites)
 
 
 def global_y_parity(op: FiniteOperator) -> int:
@@ -194,9 +183,10 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
     """Restrict the one-site images to a chain of n_sites sites.
 
     Open boundaries drop the tensor factors that fall off the ends; ring
-    boundaries wrap exponents mod n_sites.  Open truncation is rejected
-    with BoundaryBreaksAutomorphism when the cut images stop satisfying
-    the commutation relations; no repaired boundary rule is attempted.
+    boundaries wrap exponents mod n_sites, and a ring is never rejected.
+    Open truncation is rejected with BoundaryBreaksAutomorphism when the
+    cut images stop satisfying the commutation relations; no repaired
+    boundary rule is attempted.
     """
     if boundary not in ("open", "ring"):
         raise ValueError(f"unknown boundary {boundary!r}")
@@ -212,35 +202,19 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
             masks = [(_rotated(x0, s, n_sites, full), _rotated(z0, s, n_sites, full)) for s in range(n_sites)]
         else:
             masks = [[p.coefficients(-s, n_sites) for p in column] for s in range(n_sites)]
-        # Hermitian with + sign: i to the number of Y factors.
-        images.append(tuple(FiniteOperator(n_sites, x, z, (x & z).bit_count()) for x, z in masks))
-    rule = FiniteRule(n_sites, boundary, *images)
-    if not _is_automorphism(rule, radius):
-        raise BoundaryBreaksAutomorphism("cut one-site images violate the commutation relations")
-    return rule
-
-
-def _is_automorphism(rule: FiniteRule, radius: int) -> bool:
-    """Check M^T J M = J: image symplectic products match the source ones.
-
-    Images lie within radius sites of their sources (cyclically on a ring),
-    so only pairs of sites at most 2 * radius apart can fail.  In the
-    kernel's run a pair's products depend only on its offset, so the run is
-    checked from its first site, and each site outside it against all its
-    near partners.  The chain must be longer than 2 * radius.
-    """
-    n, (lo, hi), xs, zs = rule.n_sites, rule.kernel[:2], rule.x_images, rule.z_images
-    for a in (lo, *range(lo), *range(hi, n)):
-        # Source generators X_a, Z_b anticommute iff a == b.
-        if xs[a].commutes_with(zs[a]):
-            return False
-        for b in range(a - 2 * radius, a + 2 * radius + 1):
-            b = b % n if rule.boundary == "ring" else b
-            if b != a and 0 <= b < n and not all(
-                p.commutes_with(q) for p in (xs[a], zs[a]) for q in (xs[b], zs[b])
-            ):
-                return False
-    return True
+        images.append(tuple(FiniteOperator.hermitian(n_sites, x, z) for x, z in masks))
+    # T is symplectic and translation invariant, so folding onto a ring adds
+    # the forms omega(e_a, e_(b + jN)), zero for j != 0.  An open image with no
+    # factor cut off keeps its forms, so only pairs of cut images, within
+    # radius of an end, can break (X_a and Z_b anticommute iff a == b).
+    xs, zs = images
+    edges = [*range(radius), *range(n_sites - radius, n_sites)] if boundary == "open" else []
+    for a, b in itertools.product(edges, repeat=2):
+        if xs[a].commutes_with(zs[b]) == (a == b) or not (
+            xs[a].commutes_with(xs[b]) and zs[a].commutes_with(zs[b])
+        ):
+            raise BoundaryBreaksAutomorphism("cut one-site images violate the commutation relations")
+    return FiniteRule(n_sites, boundary, xs, zs)
 
 
 def _times_sites(
@@ -293,7 +267,7 @@ def evolve_finite(rule: FiniteRule, op: FiniteOperator, steps: int) -> list[Fini
 def invert_rule(rule: FiniteRule) -> FiniteRule:
     """The rule of the inverse automorphism, phases fixed by back-tracking.
 
-    For symplectic M (truncate_rule checks it), M^-1 = Omega M^T Omega,
+    For symplectic M (truncate_rule ensures it), M^-1 = Omega M^T Omega,
     Omega swapping the X and Z halves: the inverse image of X_s has X (Z)
     bit k where the image of Z_k (X_k) has Z on site s; that of Z_s reads
     X on site s.  Each phase makes one forward step return X_s or Z_s with
@@ -389,8 +363,12 @@ def ring_translates(seed: TIStabilizerState, n_sites: int) -> list[int]:
     return rows
 
 
+def _ring_fits(seed: TIStabilizerState, n_sites: int) -> bool:
+    return n_sites >= 2 * (2 * seed.n + 1)
+
+
 def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
-    if n_sites < 2 * (2 * seed.n + 1):
+    if not _ring_fits(seed, n_sites):
         raise ValueError("ring shorter than twice the generator length")
 
 
@@ -450,6 +428,23 @@ def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
         per_site[(low - 1) >> 1] += 1
     ranks = itertools.accumulate(per_site, initial=0)
     return [rank - size for size, rank in enumerate(ranks)]
+
+
+def oracle_sweep(t: ValidatedCqca, steps: int, n_sites: int, sizes: Sequence[int]) -> Iterator[tuple]:
+    """(step, state, size, S([0, size))) of the ring oracle along the all-spins-up orbit.
+
+    S is read off ring_entropy_profile for the sizes in the window
+    2n <= size <= n_sites - 2n - 2; the sweep stops at the first state
+    too long for the ring.
+    """
+    for k, state in enumerate(stabilizer.evolve(stabilizer.all_spins_up(), t, steps)):
+        if not _ring_fits(state, n_sites):
+            return
+        fitting = [size for size in sizes if 2 * state.n <= size <= n_sites - 2 * state.n - 2]
+        if fitting:
+            profile = ring_entropy_profile(state, n_sites)
+            for size in fitting:
+                yield k, state, size, profile[size]
 
 
 def ring_state_entropy(

@@ -27,7 +27,7 @@ from cqcalab.finite_chain import (
     evolve_finite,
     global_y_parity,
     mirror_time,
-    ring_state_entropy,
+    oracle_sweep,
     truncate_rule,
 )
 from cqcalab.laurent import LaurentPoly, parse_poly
@@ -64,7 +64,7 @@ def test_criterion_1_glider_local_rule():
     assert g.apply(parse_observable("Z")) == parse_observable("ZXZ@-1")
     rule = truncate_rule(g, 7, "open")
     y_image = evolve_finite(rule, FiniteOperator.single_site(7, 3, "Y"), 1)[1]
-    assert y_image == FiniteOperator.hermitian(7, 0b0001000, 0b0011100, sign=-1)
+    assert y_image == FiniteOperator.hermitian(7, 0b0001000, 0b0011100) * FiniteOperator(7, 0, 0, 2)
     elapsed = time.perf_counter() - start
     assert elapsed < 0.001 * 50  # spec budget 1 ms; wide margin for slow machines
     _report(1, "glider local rule X->Z, Z->ZXZ, Y->-ZYZ")
@@ -148,16 +148,9 @@ def test_criterion_7_oracle_equivalence():
     checks = 0
     for sample in range(50):
         t = random_cqca(1000 + sample, 1 + sample % 6, 1 + sample % 2)
-        states = evolve(all_spins_up(), t, 20)
-        for k, state in enumerate(states):
-            if ring < 2 * (2 * state.n + 1):
-                break
-            for size in region_sizes:
-                if not 2 * state.n <= size <= ring - 2 * state.n - 2:
-                    continue
-                measured = ring_state_entropy(state, ring, range(size))
-                assert measured == min(2 * state.n, size), (sample, k, size)
-                checks += 1
+        for k, state, size, measured in oracle_sweep(t, 20, ring, region_sizes):
+            assert measured == min(2 * state.n, size), (sample, k, size)
+            checks += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     assert checks > 500

@@ -1,4 +1,9 @@
+import contextlib
+import io
+import tracemalloc
+
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
 from cqcalab.cli import main
 
@@ -277,3 +282,69 @@ class TestDeterminism:
         first = run(capsys, "entangle", "fractal", "--steps", "20")
         second = run(capsys, "entangle", "fractal", "--steps", "20")
         assert first == second
+
+
+# Exponents that do not fit a machine word; parsing must fail before any allocation.
+OVERFLOW_POLY = "u^-99999999999999999999 + u^99999999999999999999"
+# Exponents stay small: ones that fit but are huge would allocate gigabytes.
+EXPONENTS = hst.integers(min_value=-10**4, max_value=10**4)
+# Every separator holds a "+", so no two terms' digits run together.
+POLYS = hst.builds(
+    lambda terms, sep: sep.join(terms),
+    hst.lists(
+        hst.one_of(
+            hst.sampled_from(["1", "u", "0", "", "u^", "u^-", "^", "x", "u^+3", " u "]),
+            EXPONENTS.map(lambda e: f"u^{e}"),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    hst.sampled_from(["+", " + ", "++", "+ "]),
+)
+OBSERVABLES = hst.builds(
+    str.__add__,
+    hst.text(alphabet="1XYZW ", max_size=6),
+    hst.one_of(
+        hst.sampled_from(["", "@", "@x", "@1@2", "@ -3"]),
+        EXPONENTS.map(lambda e: f"@{e}"),
+    ),
+)
+
+
+def exit_code(argv):
+    """main(argv) with output discarded; argparse's own exit counts as its code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestGrammarInputs:
+    def test_exponent_too_large_for_an_int_fails(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "validate", "--t11", OVERFLOW_POLY, "--t12", "1", "--t21", "1", "--t22", "0"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert peak < 1 << 20
+
+    @given(hst.lists(hst.one_of(POLYS, hst.just(OVERFLOW_POLY)), min_size=4, max_size=4),
+           hst.sampled_from([["validate"], ["classify", "--cap", "8"]]))
+    @example([OVERFLOW_POLY, "1", "1", "0"], ["validate"])
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_grammar(self, entries, command):
+        flags = [f"--{key}={entry}" for key, entry in zip(("t11", "t12", "t21", "t22"), entries)]
+        assert exit_code([*command, *flags]) in (0, 1, 2)
+        assert exit_code(["validate", f"shear:{entries[0]}"]) in (0, 1, 2)
+
+    @given(OBSERVABLES, hst.sampled_from([["evolve", "glider", "--steps", "2"],
+                                          ["finite", "fractal", "--sites", "9", "--origin=-4"]]))
+    @settings(max_examples=150, deadline=None)
+    def test_observable_grammar(self, literal, command):
+        assert exit_code([*command, f"--obs={literal}"]) in (0, 1, 2)
