@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import random as _random
+from typing import Iterator
 
 from .laurent import LaurentPoly, gcd, parse_poly, render_poly
 from .phase_space import PhaseVector
@@ -100,12 +101,7 @@ class CqcaMatrix:
 
     def max_entry_degree(self) -> int:
         """Largest |exponent| over all entries; the neighborhood radius."""
-        radius = 0
-        for p in self.entries():
-            span = p.degree_span()
-            if span is not None:
-                radius = max(radius, abs(span[0]), abs(span[1]))
-        return radius
+        return max((abs(e) for p in self.entries() if p for e in p.degree_span()), default=0)
 
     def __str__(self) -> str:
         return "[[{}, {}], [{}, {}]]".format(*map(render_poly, self.entries()))
@@ -144,6 +140,34 @@ class ValidatedCqca:
             m.t11 * v.xi_plus + m.t12 * v.xi_minus,
             m.t21 * v.xi_plus + m.t22 * v.xi_minus,
         )
+
+    def orbit(self, v: PhaseVector, steps: int) -> Iterator[tuple[int, int, int]]:
+        """Frames (x, z, base) of v, T v, ..., T**steps v; bit k of x and z is site base + k.
+
+        T**2 = tr*T + I gives T**(t+1) v = tr * T**t v + T**(t-1) v; a centred trace
+        is symmetric about 0, so frame t + 1 sits d = dg tr sites left of frame t,
+        one shift and XOR per term away.  Frames are not normalised.
+        """
+        if steps < 0:
+            raise ValueError("steps must be nonnegative")
+        tr, d, low = self.trace(), self.trace_degree(), (1 << 64) - 1
+        shifts = [e + d for e in tr.exponents()]
+        back = self.apply(v) + PhaseVector(tr * v.xi_plus, tr * v.xi_minus)  # T**-1 = T + tr*I
+        # Frame -1 sits at base + d; the entries' radius may exceed d.
+        parts = ((v.xi_plus, 0), (v.xi_minus, 0), (back.xi_plus, d), (back.xi_minus, d))
+        base = min((p.min_exp - shift for p, shift in parts if p), default=0)
+        x, z, px, pz = (p.mask << (p.min_exp - shift - base) if p else 0 for p, shift in parts)
+        for _ in range(steps):
+            yield x, z, base
+            nx, nz = px << 2 * d, pz << 2 * d
+            for s in shifts:
+                nx ^= x << s
+                nz ^= z << s
+            px, pz, x, z, base = x, z, nx, nz, base - d
+            # Drop the zeros a right-drifting orbit leaves below both frames, or steps grow with t.
+            if not (x & low or z & low or px & low or pz & low):
+                px, pz, x, z, base = px >> 64, pz >> 64, x >> 64, z >> 64, base + 64
+        yield x, z, base
 
     def trace(self) -> LaurentPoly:
         return self.matrix.trace()

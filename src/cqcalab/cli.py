@@ -8,6 +8,7 @@ require an explicit seed.  Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import automaton, finite_chain, render, stabilizer
@@ -18,8 +19,8 @@ from .finite_chain import (
     GeneratorsDoNotCommute,
     NotPure,
 )
-from .laurent import PolySyntaxError, render_poly
-from .phase_space import parse_observable
+from .laurent import LaurentPoly, PolySyntaxError, render_poly
+from .phase_space import PhaseVector, parse_observable
 from .stabilizer import StateValidationError
 
 
@@ -98,10 +99,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    v = parse_observable(args.obs)
-    for k in range(args.steps + 1):
-        print(f"{k}\t{v}")
-        v = t.apply(v)
+    for k, (x, z, base) in enumerate(t.orbit(parse_observable(args.obs), args.steps)):
+        print(f"{k}\t{PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))}")
     return 0
 
 
@@ -276,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on main's first call, not at import
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -173,9 +173,7 @@ class LaurentPoly:
         lo, hi = self.degree_span()
         if lo + hi != 2 * center:
             return False
-        width = self.mask.bit_length()
-        reflected = int(format(self.mask, "b")[::-1], 2) if width else 0
-        return reflected == self.mask
+        return int(format(self.mask, "b")[::-1], 2) == self.mask
 
     def __str__(self) -> str:
         return render_poly(self)

@@ -6,8 +6,8 @@ the PPM format is binary P6 with one pixel per cell and a fixed palette,
 so identical diagrams always produce identical bytes.
 
 Both stages work a whole row at a time: each row of letters is built from
-the observable's two bitsets (:meth:`PhaseVector.letters`), and each PPM
-colour channel of a row is written by one byte translation.
+the two bitsets of one :meth:`ValidatedCqca.orbit` frame by ``site_letters``,
+and each PPM colour channel of a row is written by one byte translation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import dataclasses
 from typing import Literal
 
 from .automaton import ValidatedCqca
-from .phase_space import PhaseVector
+from .phase_space import PhaseVector, site_letters
 
 _PALETTE = {
     "1": (255, 255, 255),
@@ -55,16 +55,16 @@ def build_diagram(
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    states = [initial]
-    for _ in range(steps):
-        states.append(t.apply(states[-1]))
-    spans = [v.support() for v in states]
-    lows = [s[0] for s in spans if s is not None]
-    highs = [s[1] for s in spans if s is not None]
-    left = (min(lows) if lows else 0) - 1
-    right = (max(highs) if highs else 0) + 1
-    rows = tuple(v.letters(left, right) for v in states)
-    return SpaceTimeDiagram(rows, (left, right))
+    frames = list(t.orbit(initial, steps))
+    occupied = [(x | z, base) for x, z, base in frames if x | z]
+    left = min((base + (m & -m).bit_length() for m, base in occupied), default=1) - 2
+    right = max((base + m.bit_length() for m, base in occupied), default=1)
+    width = right - left + 1
+    rows = []
+    for x, z, base in frames:
+        s = base - left
+        rows.append(site_letters(*((x << s, z << s) if s >= 0 else (x >> -s, z >> -s)), width))
+    return SpaceTimeDiagram(tuple(rows), (left, right))
 
 
 def emit(d: SpaceTimeDiagram, format: Literal["ascii", "ppm"]) -> bytes:

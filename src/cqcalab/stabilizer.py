@@ -7,9 +7,9 @@ generator length 2n + 1, closed forms give the entanglement directly: n
 ebits across any bipartite cut, min(2n, L) ebits between a region of L
 sites and the rest of the chain.
 
-Evolution validates its input seed once: a validated automaton keeps
-every later seed valid (see ``evolve``), so no step repeats the gcd; the
-asymptotic rate jumps straight to steps t/2 and t by ``ValidatedCqca.power``.
+Evolution validates its input seed once (a validated automaton keeps every
+later seed valid, see ``evolve``) and steps by the recurrence of ``ValidatedCqca.orbit``,
+xi_(t+1) = tr * xi_t + xi_(t-1); the rate jumps to steps t/2 and t by ``power``.
 """
 
 from __future__ import annotations
@@ -96,14 +96,11 @@ def evolve(
     sum of u**-k + u**k = u**-k (1 + u**k)**2, all divisible by 1 + u.
     Hence every later state is valid, and its half-length is support()[1].
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    out = [validate_state(s.xi)]
-    xi = s.xi
-    for _ in range(steps):
-        xi = t.apply(xi)
-        out.append(TIStabilizerState(xi, xi.support()[1]))
-    return out
+    validate_state(s.xi)
+    return [
+        TIStabilizerState(PhaseVector(LaurentPoly(x, b), LaurentPoly(z, b)), b + (x | z).bit_length() - 1)
+        for x, z, b in t.orbit(s.xi, steps)
+    ]
 
 
 def tripartite_entanglement(s: TIStabilizerState, region_length: int) -> int:
@@ -126,16 +123,18 @@ def entanglement_trajectory(
     steps: int,
     region_length: int | None = None,
 ) -> list[TrajectoryPoint]:
-    """Per-step entanglement record along the evolution of ``s`` under ``t``."""
+    """Per-step entanglement record along the evolution of ``s`` under ``t``.
+
+    ``s`` must be valid; n is read off each orbit frame and no state is kept.
+    """
+    if region_length is not None and region_length < 1:
+        raise ValueError("region length must be positive")
     points = []
-    for k, state in enumerate(evolve(s, t, steps)):
-        e_tri = (
-            tripartite_entanglement(state, region_length)
-            if region_length is not None
-            else None
-        )
+    for k, (x, z, base) in enumerate(t.orbit(s.xi, steps)):
+        n = base + (x | z).bit_length() - 1  # a valid seed's highest site
+        e_tri = None if region_length is None else min(2 * n, region_length)
         # Across any bipartite cut the state holds exactly n ebits.
-        points.append(TrajectoryPoint(k, state.n, state.n, e_tri))
+        points.append(TrajectoryPoint(k, n, n, e_tri))
     return points
 
 

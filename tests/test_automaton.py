@@ -26,7 +26,12 @@ from cqcalab.automaton import (
     validate,
 )
 from cqcalab.laurent import LaurentPoly, parse_poly
-from cqcalab.phase_space import parse_observable, symplectic_form
+from cqcalab.phase_space import (
+    PhaseVector,
+    parse_observable,
+    pauli_to_phase_space,
+    symplectic_form,
+)
 
 from oracles import matmul_terms, matrix_terms, matvec_terms, to_terms
 
@@ -152,6 +157,75 @@ class TestApply:
             matrix_terms(t.matrix), (to_terms(v.xi_plus), to_terms(v.xi_minus))
         )
         assert (to_terms(image.xi_plus), to_terms(image.xi_minus)) == expected
+
+
+def _orbit_vectors(t, v, steps):
+    return [
+        PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))
+        for x, z, base in t.orbit(v, steps)
+    ]
+
+
+def _apply_loop(t, v, steps):
+    out = [v]
+    for _ in range(steps):
+        out.append(t.apply(out[-1]))
+    return out
+
+
+# Conjugating by a shear keeps the trace u^-1 + 1 + u (d = 1) but widens the
+# entries to u^-4..u^4, so T v reaches farther left than the frame shift d.
+WIDE_FRACTAL = shear(parse_poly("u^-2 + u^2")) @ fractal() @ shear(parse_poly("u^-2 + u^2"))
+
+
+class TestOrbit:
+    def test_wide_fractal_has_radius_above_trace_degree(self):
+        assert WIDE_FRACTAL.trace_degree() == 1
+        assert WIDE_FRACTAL.matrix.max_entry_degree() == 4
+
+    @pytest.mark.parametrize(
+        "t",
+        [identity(), swap(), validate(PERIOD3), glider(), fractal(), WIDE_FRACTAL],
+        ids=["identity", "swap", "period3", "glider", "fractal", "wide_fractal"],
+    )
+    @pytest.mark.parametrize("literal", ["1", "X@57", "Z@40", "ZYX@-60", "Y", "XZ@-7"])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 47])
+    def test_edge_cases_match_apply(self, t, literal, steps):
+        v = parse_observable(literal)
+        assert _orbit_vectors(t, v, steps) == _apply_loop(t, v, steps)
+
+    @given(
+        hst.builds(
+            random_cqca,
+            seed=hst.integers(min_value=0, max_value=10**9),
+            word_length=hst.integers(min_value=0, max_value=7),
+            max_shear_degree=hst.integers(min_value=1, max_value=3),
+        ),
+        hst.builds(
+            pauli_to_phase_space,
+            hst.text(alphabet="1XYZ", min_size=1, max_size=5),
+            hst.integers(min_value=-60, max_value=60),
+        ),
+        hst.integers(min_value=40, max_value=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_apply(self, t, v, steps):
+        assert _orbit_vectors(t, v, steps) == _apply_loop(t, v, steps)
+
+    def test_drifting_orbit_stays_narrow(self):
+        # XYZ glides one site right per step, so without trimming the frames
+        # would gain two zero bits below the support at every step.
+        t, v = glider(), parse_observable("XYZ")
+        frames = list(t.orbit(v, 1000))
+        assert max((x | z).bit_length() for x, z, _ in frames) < 80
+        x, z, base = frames[-1]
+        assert PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base)) == (
+            parse_observable("XYZ@1000")
+        )
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(glider().orbit(parse_observable("Z"), -1))
 
 
 class TestClassify:

@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
+from cqcalab import cli
 from cqcalab.cli import main
 
 
@@ -99,6 +101,11 @@ class TestEvolve:
         err = usage_exit(capsys, "evolve", "glider", "--obs", "Z", "--steps", "-1")
         assert "--steps: must be at least 0" in err
 
+    def test_observable_without_z_component(self, capsys):
+        code, out, _ = run(capsys, "evolve", "fractal", "--obs", "X@57", "--steps", "3")
+        assert code == 0
+        assert out == "0\tX@57\n1\tXYX@56\n2\tXZZZX@55\n3\tXY1X1YX@54\n"
+
 
 class TestDiagram:
     def test_ascii_stdout(self, capsys):
@@ -116,6 +123,23 @@ class TestDiagram:
         )
         assert code == 0
         assert target.read_bytes().startswith(b"P6\n")
+
+    def test_identity_observable(self, capsys):
+        assert run(capsys, "diagram", "glider", "--obs", "1", "--steps", "2") == (
+            0, "...\n...\n...\n", ""
+        )
+
+    def test_observable_without_z_component(self, capsys):
+        # X@57 has a zero Z component, which must not be shifted to the frame.
+        code, out, err = run(capsys, "diagram", "fractal", "--obs", "X@57", "--steps", "30")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert len(rows) == 31 and {len(row) for row in rows} == {63}
+        assert rows[0] == "." * 31 + "X" + "." * 31
+        assert rows[-1] == ".XZZZ..X.X...XZZZ.ZZZX...XZZZ..X..ZZZX...XZZZ.ZZZX...X.X..ZZZX."
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9949e7cf73946c4319888d2c9d004b8fc67e9857218899a20dfa7ed2ec91ed81"
+        )
 
     def test_zero_steps_is_usage_error(self, capsys):
         err = usage_exit(capsys, "diagram", "glider", "--steps", "0")
@@ -144,9 +168,60 @@ class TestEntangle:
         assert code == 1
         assert "NotReflectionSymmetric" in err
 
+    def test_invalid_state_output(self, capsys):
+        assert run(capsys, "entangle", "glider", "--state", "XX", "--steps", "3") == (
+            1, "", "NotReflectionSymmetric: seed is not mirror-symmetric about site 0\n"
+        )
+
+    def test_periodic_automaton_keeps_product_state(self, capsys):
+        code, out, _ = run(
+            capsys, "entangle", "identity", "--state", "Z", "--steps", "3", "--region", "2"
+        )
+        assert code == 0
+        assert out == "t,n,E_bi,E_tri\n0,0,0,0\n1,0,0,0\n2,0,0,0\n3,0,0,0\n"
+
     def test_negative_steps_is_usage_error(self, capsys):
         err = usage_exit(capsys, "entangle", "glider", "--steps", "-1")
         assert "--steps: must be at least 0" in err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call may leave state in it."""
+
+    CALLS = [
+        ["entangle", "glider", "--steps", "-1"],  # argparse rejects this: exit 2
+        ["oracle", "--samples", "1", "--seed", "3", "--ring", "64", "--steps", "4", "--regions", "8"],
+        ["oracle", "--samples", "1", "--seed", "3", "--ring", "64", "--steps", "4"],
+        ["entangle", "glider", "--steps", "3", "-o", None],
+        ["entangle", "glider", "--steps", "3"],
+    ]
+
+    def outcomes(self, capsys, target, fresh):
+        results = []
+        for argv in self.CALLS:
+            if fresh:
+                cli._parser.cache_clear()
+            argv = [str(target) if arg is None else arg for arg in argv]
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    def test_calls_leave_no_state(self, capsys, tmp_path):
+        target = tmp_path / "trajectory.csv"
+        reused = self.outcomes(capsys, target, fresh=False)
+        written = target.read_text()
+        target.unlink()
+        assert [code for code, *_ in reused] == [2, 0, 0, 0, 0]
+        # --regions 8 did not stick: the next call sweeps the default 8,16,24,32,40.
+        assert reused[1][1] == "2 checks, 0 mismatches\n"
+        assert reused[2][1] == "21 checks, 0 mismatches\n"
+        # -o did not stick: the next call writes the same CSV to stdout.
+        assert reused[3][1] == "" and reused[4][1] == written
+        assert self.outcomes(capsys, target, fresh=True) == reused
+        assert target.read_text() == written
 
 
 class TestRate:

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -151,6 +153,27 @@ class TestTrajectory:
     def test_csv_without_region(self):
         points = entanglement_trajectory(glider(), all_spins_up(), 1)
         assert trajectory_csv(points) == "t,n,E_bi,E_tri\n0,0,0,\n1,1,1,\n"
+
+    def test_nonpositive_region_rejected(self):
+        with pytest.raises(ValueError, match="region length must be positive"):
+            entanglement_trajectory(glider(), all_spins_up(), 2, region_length=0)
+
+    def test_streams_at_scale(self):
+        # Holding every state would take O(t^2) bits: 21.9 MiB at this size.
+        t, s = fractal(), all_spins_up()
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            points = entanglement_trajectory(t, s, 8192, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 4 << 20
+        assert len(points) == 8193
+        for k in (0, 1, 2, 3, 100, 1023, 4096, 6001, 8192):
+            n = t.power(k).apply(s.xi).support()[1]
+            assert points[k] == (k, n, n, min(2 * n, 64))
 
 
 class TestAsymptoticRate:
