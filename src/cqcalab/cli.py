@@ -187,7 +187,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for sample in range(args.samples):
         t = automaton.random_cqca(args.seed + sample, args.word_length, args.shear_degree)
         for k, state, size, measured in finite_chain.oracle_sweep(t, args.steps, args.ring, args.regions):
-            expected = min(2 * state.n, size)
+            expected = stabilizer.tripartite_entanglement(state, size)
             checks += 1
             if measured != expected:
                 mismatches += 1

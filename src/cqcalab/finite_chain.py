@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 from . import stabilizer
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly
-from .phase_space import _CODE_LETTER, _LETTER_BITS, site_letters
+from .phase_space import _LETTER_BITS, site_letters
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
@@ -92,17 +92,6 @@ class FiniteOperator:
             self.z_mask & other.x_mask
         ).bit_count()
         return crossings % 2 == 0
-
-    def hermitian_sign(self) -> int:
-        """+1 or -1 for a Hermitian operator; raises otherwise."""
-        y_count = (self.x_mask & self.z_mask).bit_count()
-        if (self.phase_exp - y_count) % 2:
-            raise ValueError("operator is i times a Hermitian Pauli product")
-        return 1 if (self.phase_exp - y_count) % 4 == 0 else -1
-
-    def letter_at(self, site: int) -> str:
-        x_bit, z_bit = (self.x_mask >> site) & 1, (self.z_mask >> site) & 1
-        return _CODE_LETTER[x_bit | z_bit << 1]
 
     def __str__(self) -> str:
         prefix = ("+", "+i", "-", "-i")[(self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4]
@@ -315,63 +304,6 @@ def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
 # -- F2 linear algebra -------------------------------------------------
 
 
-def f2_rank(rows: Iterable[int]) -> int:
-    """Rank over F2 of bitset-encoded row vectors."""
-    basis: list[int] = []
-    for row in rows:
-        for pivot in basis:
-            low = pivot & -pivot
-            if row & low:
-                row ^= pivot
-        if row:
-            basis.append(row)
-    return len(basis)
-
-
-# -- ring-state entropy oracle -----------------------------------------
-
-
-def generator_entropy(
-    rows: Sequence[int], n_sites: int, region: Sequence[int]
-) -> int:
-    """Entanglement entropy from a full stabilizer generator matrix.
-
-    Rows are 2N-bit phase-space vectors (X part low, Z part high) of the
-    N generators of a pure state; the entropy of a site subset equals
-    rank of the generator matrix restricted to those columns minus the
-    subset size.
-    """
-    restricted = []
-    for row in rows:
-        sub = 0
-        for k, site in enumerate(region):
-            sub |= ((row >> site) & 1) << k
-            sub |= ((row >> (site + n_sites)) & 1) << (k + len(region))
-        restricted.append(sub)
-    return f2_rank(restricted) - len(region)
-
-
-def ring_translates(seed: TIStabilizerState, n_sites: int) -> list[int]:
-    """The N wrapped generator rows of the seed on an n_sites ring."""
-    rows = []
-    for x in range(n_sites):
-        shifted = seed.xi.shifted(x)
-        rows.append(
-            _poly_to_mask(shifted.xi_plus, n_sites)
-            | (_poly_to_mask(shifted.xi_minus, n_sites) << n_sites)
-        )
-    return rows
-
-
-def _ring_fits(seed: TIStabilizerState, n_sites: int) -> bool:
-    return n_sites >= 2 * (2 * seed.n + 1)
-
-
-def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
-    if not _ring_fits(seed, n_sites):
-        raise ValueError("ring shorter than twice the generator length")
-
-
 def _echelon(rows: Iterable[int]) -> dict[int, int]:
     """A basis of the rows' span keyed by lowest set bit (its index + 1).
 
@@ -386,6 +318,26 @@ def _echelon(rows: Iterable[int]) -> dict[int, int]:
                 break
             v ^= pivots[low]
     return pivots
+
+
+def f2_rank(rows: list[int]) -> int:
+    """Rank over F2 of bitset-encoded row vectors.
+
+    Callers pass a list: perfbench's tracer counts rows by its length.
+    """
+    return len(_echelon(rows))
+
+
+# -- ring-state entropy oracle -----------------------------------------
+
+
+def _ring_fits(seed: TIStabilizerState, n_sites: int) -> bool:
+    return n_sites >= 2 * (2 * seed.n + 1)
+
+
+def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
+    if not _ring_fits(seed, n_sites):
+        raise ValueError("ring shorter than twice the generator length")
 
 
 def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
@@ -435,9 +387,10 @@ def oracle_sweep(t: ValidatedCqca, steps: int, n_sites: int, sizes: Sequence[int
 
     S is read off ring_entropy_profile for the sizes in the window
     2n <= size <= n_sites - 2n - 2; the sweep stops at the first state
-    too long for the ring.
+    too long for the ring, so no later frame is built.
     """
-    for k, state in enumerate(stabilizer.evolve(stabilizer.all_spins_up(), t, steps)):
+    for k, frame in enumerate(t.orbit(stabilizer.all_spins_up().xi, steps)):
+        state = stabilizer._frame_state(*frame)
         if not _ring_fits(state, n_sites):
             return
         fitting = [size for size in sizes if 2 * state.n <= size <= n_sites - 2 * state.n - 2]
@@ -469,4 +422,4 @@ def ring_state_entropy(
         rest.remove(site)
     bits = sum(3 << 2 * site for site in region)
     rows = _ring_basis(seed, n_sites).values()
-    return len(_echelon(row & bits for row in rows)) - len(region)
+    return f2_rank([row & bits for row in rows]) - len(region)

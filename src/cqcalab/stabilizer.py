@@ -97,10 +97,13 @@ def evolve(
     Hence every later state is valid, and its half-length is support()[1].
     """
     validate_state(s.xi)
-    return [
-        TIStabilizerState(PhaseVector(LaurentPoly(x, b), LaurentPoly(z, b)), b + (x | z).bit_length() - 1)
-        for x, z, b in t.orbit(s.xi, steps)
-    ]
+    return [_frame_state(*frame) for frame in t.orbit(s.xi, steps)]
+
+
+def _frame_state(x: int, z: int, base: int) -> TIStabilizerState:
+    """The state of an orbit frame of a valid seed (see ``evolve``); n is its highest site."""
+    xi = PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))
+    return TIStabilizerState(xi, base + (x | z).bit_length() - 1)
 
 
 def tripartite_entanglement(s: TIStabilizerState, region_length: int) -> int:

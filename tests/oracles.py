@@ -4,7 +4,9 @@ Everything here works on exponent sets / dicts with naive loops and
 never touches the bitset code paths it checks; the finite-chain step
 multiplies one-site images with FiniteOperator.__mul__, site by site,
 and prefix_ranks checks the ring oracle's row elimination by an
-independent column-rank pass.
+independent column-rank pass.  reference_rank is a pivot-list
+elimination, and generator_entropy over ring_translates is the ring
+oracle from the full generator matrix.
 """
 
 from cqcalab.finite_chain import FiniteOperator, GeneratorsDoNotCommute, NotPure
@@ -91,6 +93,11 @@ def matrix_terms(m):
     )
 
 
+def letter_at(op, site):
+    """The Pauli letter of a FiniteOperator on one site."""
+    return "1XZY"[(op.x_mask >> site) & 1 | ((op.z_mask >> site) & 1) << 1]
+
+
 def step_per_site(rule, op):
     """Reference for finite_chain.step: the one-site images multiplied in site order."""
     result = FiniteOperator(rule.n_sites, 0, 0, op.phase_exp)
@@ -100,6 +107,54 @@ def step_per_site(rule, op):
         if (op.z_mask >> site) & 1:
             result = result * rule.z_images[site]
     return result
+
+
+def reference_rank(rows):
+    """Rank over F2 of bitset rows: each row is reduced by every earlier pivot's lowest bit."""
+    basis = []
+    for row in rows:
+        for pivot in basis:
+            low = pivot & -pivot
+            if row & low:
+                row ^= pivot
+        if row:
+            basis.append(row)
+    return len(basis)
+
+
+def wrapped(p, n_sites):
+    """The n_sites-bit mask of a polynomial with exponents taken mod n_sites."""
+    mask = 0
+    for e in p.exponents():
+        mask ^= 1 << (e % n_sites)
+    return mask
+
+
+def ring_translates(seed, n_sites):
+    """The N wrapped generator rows of the seed on an n_sites ring: X part low, Z part high."""
+    rows = []
+    for x in range(n_sites):
+        shifted = seed.xi.shifted(x)
+        rows.append(wrapped(shifted.xi_plus, n_sites) | wrapped(shifted.xi_minus, n_sites) << n_sites)
+    return rows
+
+
+def generator_entropy(rows, n_sites, region):
+    """Entanglement entropy from a full stabilizer generator matrix.
+
+    Rows are 2N-bit phase-space vectors (X part low, Z part high) of the
+    N generators of a pure state; the entropy of a site subset equals
+    rank of the generator matrix restricted to those columns minus the
+    subset size.
+    """
+    restricted = []
+    for row in rows:
+        sub = 0
+        for k, site in enumerate(region):
+            sub |= ((row >> site) & 1) << k
+            sub |= ((row >> (site + n_sites)) & 1) << (k + len(region))
+        restricted.append(sub)
+    return reference_rank(restricted) - len(region)
 
 
 def prefix_ranks(seed, n_sites, sites):
@@ -113,16 +168,10 @@ def prefix_ranks(seed, n_sites, sites):
     """
     full = (1 << n_sites) - 1
 
-    def wrapped(p):
-        mask = 0
-        for e in p.exponents():
-            mask ^= 1 << (e % n_sites)
-        return mask
-
     def rotated(mask, shift):
         return ((mask << shift) | (mask >> (n_sites - shift))) & full
 
-    row = (wrapped(seed.xi.xi_plus), wrapped(seed.xi.xi_minus))
+    row = (wrapped(seed.xi.xi_plus, n_sites), wrapped(seed.xi.xi_minus, n_sites))
     x0, z0 = row
     for d in range(1, n_sites):
         if ((x0 & rotated(z0, d)).bit_count() + (z0 & rotated(x0, d)).bit_count()) % 2:

@@ -330,6 +330,12 @@ class TestOracle:
         assert code == 0
         assert "0 mismatches" in out
 
+    def test_long_sweep_stops_with_the_ring(self, capsys):
+        args = ("oracle", "--samples", "1", "--seed", "1", "--ring", "64", "--steps")
+        expected = (0, "55 checks, 0 mismatches\n", "")
+        assert run(capsys, *args, "20") == expected
+        assert run(capsys, *args, "20000") == expected
+
     def test_zero_samples_is_usage_error(self, capsys):
         err = usage_exit(capsys, "oracle", "--samples", "0", "--seed", "1")
         assert "--samples: must be at least 1" in err

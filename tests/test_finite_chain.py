@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 import time
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -18,13 +20,12 @@ from cqcalab.finite_chain import (
     NotPure,
     evolve_finite,
     f2_rank,
-    generator_entropy,
     global_y_parity,
     invert_rule,
     mirror_time,
+    oracle_sweep,
     ring_entropy_profile,
     ring_state_entropy,
-    ring_translates,
     step,
     truncate_rule,
 )
@@ -32,8 +33,12 @@ from cqcalab.laurent import LaurentPoly
 from cqcalab.phase_space import PhaseVector, parse_observable
 from cqcalab.stabilizer import TIStabilizerState, all_spins_up, evolve, validate_state
 from oracles import (
+    generator_entropy,
+    letter_at,
     matrix_terms,
     prefix_ranks,
+    reference_rank,
+    ring_translates,
     scalar_product_terms,
     step_per_site,
     xor_terms,
@@ -64,7 +69,7 @@ class TestFiniteOperator:
     def test_single_site_letters_are_hermitian_plus(self):
         for letter in "XYZ":
             op = FiniteOperator.single_site(5, 2, letter)
-            assert op.hermitian_sign() == 1
+            assert str(op) == f"+11{letter}11"
 
     def test_pauli_multiplication_table(self):
         x = FiniteOperator.single_site(1, 0, "X")
@@ -94,7 +99,7 @@ class TestFiniteOperator:
         op = FiniteOperator(n, x, z, data.draw(hst.integers(min_value=0, max_value=3)))
         y_count = (x & z).bit_count()
         prefix = {0: "+", 1: "+i", 2: "-", 3: "-i"}[(op.phase_exp - y_count) % 4]
-        assert str(op) == prefix + "".join(op.letter_at(k) for k in range(n))
+        assert str(op) == prefix + "".join(letter_at(op, k) for k in range(n))
 
 
 class TestTruncateRule:
@@ -107,7 +112,7 @@ class TestTruncateRule:
         rule = truncate_rule(glider(), 7, "open")
         image = step(rule, FiniteOperator.single_site(7, 3, "Y"))
         assert image == op7("11ZYZ11", phase=3)
-        assert image.hermitian_sign() == -1
+        assert str(image) == "-11ZYZ11"
 
     def test_ring_wraps(self):
         rule = truncate_rule(glider(), 8, "ring")
@@ -499,6 +504,39 @@ class TestGlobalYParity:
         assert global_y_parity(op7("ZXZ1111")) == -1
 
 
+@hst.composite
+def f2_row_lists(draw):
+    """Bitset rows up to 300 bits wide, with zero rows, repeats and sums of drawn rows mixed in."""
+    width = draw(hst.sampled_from([1, 8, 64, 129, 300]))
+    drawn = draw(hst.lists(hst.integers(min_value=0, max_value=(1 << width) - 1), max_size=10))
+    rows = list(drawn)
+    for kind in draw(hst.lists(hst.sampled_from(["zero", "repeat", "sum"]), max_size=6)):
+        if kind == "zero" or not drawn:
+            rows.append(0)
+        else:
+            picked = draw(hst.lists(hst.sampled_from(drawn), min_size=1, max_size=4))
+            rows.append(picked[0] if kind == "repeat" else functools.reduce(operator.xor, picked))
+    return draw(hst.permutations(rows))
+
+
+WIDE = (1 << 200) | (1 << 129) | 5
+
+
+class TestF2Rank:
+    @given(f2_row_lists())
+    def test_matches_reference_rank(self, rows):
+        assert f2_rank(rows) == reference_rank(rows)
+
+    @pytest.mark.parametrize("rows, rank", [
+        ([], 0),
+        ([0, 0, 0], 0),
+        ([WIDE, WIDE, 1 << 129, WIDE ^ (1 << 129), 0], 2),
+        ([1 << k for k in range(130)] + [(1 << 130) - 1], 130),
+    ])
+    def test_known_ranks(self, rows, rank):
+        assert f2_rank(rows) == reference_rank(rows) == rank
+
+
 class TestRingEntropy:
     def test_bell_state_reference(self):
         # generators XX and ZZ of the 2-qubit Bell state; one-site region -> 1
@@ -572,7 +610,7 @@ def reference_ring_rows(seed, n_sites):
             crossings = (a & low & (b >> n_sites)).bit_count() + ((a >> n_sites) & b & low).bit_count()
             if crossings % 2:
                 raise GeneratorsDoNotCommute(f"translates {i} and {j} anticommute")
-    rank = f2_rank(rows)
+    rank = reference_rank(rows)
     if rank != n_sites:
         raise NotPure(n_sites - rank)
     return rows
@@ -690,3 +728,18 @@ class TestRingOracleAtScale:
             region = rng.sample(range(n_sites), rng.randrange(1, n_sites))
             ranks = prefix_ranks(state, n_sites, region + sorted(set(range(n_sites)) - set(region)))
             assert ring_state_entropy(state, n_sites, region) == ranks[len(region)] - len(region)
+
+
+class TestOracleSweep:
+    def test_stops_at_the_first_state_too_long_for_the_ring(self):
+        t, sizes = random_cqca(1, 6, 2), (8, 16, 24, 32, 40)
+        short = list(oracle_sweep(t, 20, 64, sizes))
+        tracemalloc.start()
+        try:
+            long = list(oracle_sweep(t, 20000, 64, sizes))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The sweep ends well inside 20 steps, so both runs check the same states.
+        assert long == short and short[-1][0] < 19
+        assert peak < 2 * 2**20  # building all 20,001 states first peaks at 111 MiB
