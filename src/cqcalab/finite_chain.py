@@ -1,10 +1,11 @@
 """Exact, phase-tracked Pauli dynamics on finite chains and rings.
 
-Operators are two N-bit masks plus an exact power of i.  A rule stores
-the truncated one-site images; step maps their translation-invariant run
-in one bit-sliced pass and multiplies on the cut images at open ends one
-by one.  Ring entanglement is measured by F2 rank of generator matrices,
-an oracle independent of the symbolic closed forms.
+Operators are two N-bit masks plus an exact power of i.  A rule is the
+ring image pair of site 0 plus the pairs of the at most r cut sites at
+each open end; step maps the run between the ends in one bit-sliced pass
+and multiplies on the end images one by one.  Ring entanglement is
+measured by F2 rank of generator matrices, an oracle independent of the
+symbolic closed forms.
 
 Convention: an operator is i**phase_exp times (product of X factors)
 times (product of Z factors), and the one-site images of X and Z are
@@ -25,6 +26,7 @@ from .phase_space import _LETTER_BITS, site_letters
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
+Pair = tuple["FiniteOperator", "FiniteOperator"]  # the images of X_s and Z_s
 
 
 class BoundaryBreaksAutomorphism(ValueError):
@@ -88,10 +90,7 @@ class FiniteOperator:
         )
 
     def commutes_with(self, other: "FiniteOperator") -> bool:
-        crossings = (self.x_mask & other.z_mask).bit_count() + (
-            self.z_mask & other.x_mask
-        ).bit_count()
-        return crossings % 2 == 0
+        return ((self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)).bit_count() % 2 == 0
 
     def __str__(self) -> str:
         prefix = ("+", "+i", "-", "-i")[(self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4]
@@ -103,11 +102,12 @@ def global_y_parity(op: FiniteOperator) -> int:
     return -1 if (op.x_mask ^ op.z_mask).bit_count() % 2 else 1
 
 
-def _poly_to_mask(p: LaurentPoly, n_sites: int) -> int:
-    mask = 0
-    for e in p.exponents():
-        mask ^= 1 << (e % n_sites)
-    return mask
+def _folded(p: LaurentPoly, n_sites: int) -> int:
+    """The n_sites-bit mask of p with its exponents taken mod n_sites."""
+    mask, folded = p.mask << p.min_exp % n_sites, 0
+    while mask:
+        folded, mask = folded ^ (mask & ((1 << n_sites) - 1)), mask >> n_sites
+    return folded
 
 
 def _rotated(mask: int, shift: int, n_sites: int, full: int) -> int:
@@ -117,44 +117,29 @@ def _rotated(mask: int, shift: int, n_sites: int, full: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class FiniteRule:
-    """Truncated one-site images of an automaton on a finite chain.
-
-    kernel = (lo, hi, phases, moves, pairs) is derived from the images.
-    Sites lo..hi-1 are the longest run whose images are those of lo
-    rotated by s - lo; phases are the i-powers of those of lo.  step XORs
-    the run's bits b[source] (0 = X, 1 = Z) rotated by shift into part p
-    for each move (p, source, shift), and takes one sign per set bit of
-    b[t] & (b[u] >> d) for each pair (t, u, d): the image of letter t has
-    Z on an odd number of X sites of the image of letter u d sites on.
+    """An automaton on a finite chain: bulk, the ring image pair of site 0,
+    rotated to each site but the stored pairs of sites 0..lo-1 (left) and
+    hi..N-1 (right).  kernel = (lo, hi, phases, moves, pairs) is derived
+    from bulk, phases being its i-powers.  step XORs the run's bits
+    b[source] (0 = X, 1 = Z) rotated by shift into part p for each move
+    (p, source, shift), and takes one sign per set bit of b[t] & (b[u] >> d)
+    for each pair (t, u, d): the image of letter t has Z on an odd number
+    of X sites of the image of letter u d sites on.
     """
 
     n_sites: int
     boundary: Boundary
-    x_images: tuple[FiniteOperator, ...]
-    z_images: tuple[FiniteOperator, ...]
+    bulk: Pair
+    left: tuple[Pair, ...] = ()
+    right: tuple[Pair, ...] = ()
     kernel: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, xs, zs = self.n_sites, self.x_images, self.z_images
-        full = (1 << n) - 1
-
-        def rotates(a, b):
-            return (
-                b.phase_exp == a.phase_exp
-                and b.x_mask == _rotated(a.x_mask, 1, n, full)
-                and b.z_mask == _rotated(a.z_mask, 1, n, full)
-            )
-
-        lo = hi = start = 0
-        for s in range(1, n + 1):
-            if s == n or not (rotates(xs[s - 1], xs[s]) and rotates(zs[s - 1], zs[s])):
-                lo, hi = (start, s) if s - start > hi - lo else (lo, hi)
-                start = s
-        kernel = (xs[lo], zs[lo])
-        bits = [[list(LaurentPoly(m).exponents()) for m in (k.x_mask, k.z_mask)] for k in kernel]
-        moves = tuple(
-            (p, source, (e - lo) % n) for source in (0, 1) for p in (0, 1) for e in bits[source][p]
-        )
+        n, lo, hi = self.n_sites, len(self.left), self.n_sites - len(self.right)
+        if hi < lo:
+            raise ValueError("end pairs cover more than the chain")
+        bits = [[list(LaurentPoly(m).exponents()) for m in (k.x_mask, k.z_mask)] for k in self.bulk]
+        moves = tuple((p, source, e) for source in (0, 1) for p in (0, 1) for e in bits[source][p])
         # Rotated images overlap according to their offset mod n alone; on a
         # short ring several bit pairs share an offset, so keep parities.
         pairs: set[tuple[int, int, int]] = set()
@@ -164,57 +149,62 @@ class FiniteRule:
                 # On one site the X factor comes first; run sites are < hi - lo apart.
                 if (d or (t, u) == (0, 1)) and d < hi - lo:
                     pairs ^= {(t, u, d)}
-        phases = (kernel[0].phase_exp, kernel[1].phase_exp)
+        phases = tuple(k.phase_exp for k in self.bulk)
         object.__setattr__(self, "kernel", (lo, hi, phases, moves, tuple(pairs)))
+
+    def images(self, site: int) -> Pair:
+        """The images of X_site and Z_site: an end pair, or bulk rotated to the site."""
+        lo, hi = self.kernel[:2]
+        if not 0 <= site < self.n_sites:
+            raise ValueError(f"site {site} outside 0..{self.n_sites - 1}")
+        if site < lo or site >= hi:
+            return self.left[site] if site < lo else self.right[site - hi]
+        n, full = self.n_sites, (1 << self.n_sites) - 1
+        return tuple(FiniteOperator(n, _rotated(k.x_mask, site, n, full), _rotated(k.z_mask, site, n, full),
+                                    k.phase_exp) for k in self.bulk)
 
 
 def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteRule:
     """Restrict the one-site images to a chain of n_sites sites.
 
-    Open boundaries drop the tensor factors that fall off the ends; ring
-    boundaries wrap exponents mod n_sites, and a ring is never rejected.
-    Open truncation is rejected with BoundaryBreaksAutomorphism when the
-    cut images stop satisfying the commutation relations; no repaired
-    boundary rule is attempted.
+    A ring wraps exponents mod n_sites: its rule is the site-0 pair, never
+    rejected.  An open chain drops the factors that fall off the ends and
+    stores the cut pairs of the r sites nearest each end (r the radius);
+    BoundaryBreaksAutomorphism rejects it when the cut images stop
+    satisfying the commutation relations, and no repaired rule is tried.
     """
     if boundary not in ("open", "ring"):
         raise ValueError(f"unknown boundary {boundary!r}")
     radius = t.matrix.max_entry_degree()
     if n_sites <= 2 * radius:
         raise ValueError(f"need more than {2 * radius} sites for this neighborhood")
-    images = []
-    for column in ((t.matrix.t11, t.matrix.t21), (t.matrix.t12, t.matrix.t22)):
-        if boundary == "ring":
-            # A ring rule is translation invariant: rotate the site-0 image.
-            x0, z0 = (_poly_to_mask(p, n_sites) for p in column)
-            full = (1 << n_sites) - 1
-            masks = [(_rotated(x0, s, n_sites, full), _rotated(z0, s, n_sites, full)) for s in range(n_sites)]
-        else:
-            masks = [[p.coefficients(-s, n_sites) for p in column] for s in range(n_sites)]
-        images.append(tuple(FiniteOperator.hermitian(n_sites, x, z) for x, z in masks))
+    columns = ((t.matrix.t11, t.matrix.t21), (t.matrix.t12, t.matrix.t22))
+
+    def pair(mask) -> Pair:  # the Hermitian images of X and Z, entry p at the sites mask(p)
+        return tuple(FiniteOperator.hermitian(n_sites, *map(mask, column)) for column in columns)
+
+    bulk = pair(lambda p: _folded(p, n_sites))
+    if boundary == "ring":
+        return FiniteRule(n_sites, boundary, bulk)
+    sites = [*range(radius), *range(n_sites - radius, n_sites)]
+    ends = [pair(lambda p: p.coefficients(-s, n_sites)) for s in sites]
     # T is symplectic and translation invariant, so folding onto a ring adds
     # the forms omega(e_a, e_(b + jN)), zero for j != 0.  An open image with no
     # factor cut off keeps its forms, so only pairs of cut images, within
     # radius of an end, can break (X_a and Z_b anticommute iff a == b).
-    xs, zs = images
-    edges = [*range(radius), *range(n_sites - radius, n_sites)] if boundary == "open" else []
-    for a, b in itertools.product(edges, repeat=2):
-        if xs[a].commutes_with(zs[b]) == (a == b) or not (
-            xs[a].commutes_with(xs[b]) and zs[a].commutes_with(zs[b])
-        ):
+    for (a, (xa, za)), (b, (xb, zb)) in itertools.product(enumerate(ends), repeat=2):
+        if xa.commutes_with(zb) == (a == b) or not (xa.commutes_with(xb) and za.commutes_with(zb)):
             raise BoundaryBreaksAutomorphism("cut one-site images violate the commutation relations")
-    return FiniteRule(n_sites, boundary, xs, zs)
+    return FiniteRule(n_sites, boundary, bulk, tuple(ends[:radius]), tuple(ends[radius:]))
 
 
-def _times_sites(
-    result: FiniteOperator, rule: FiniteRule, op: FiniteOperator, sites: range
-) -> FiniteOperator:
-    """result times the images of op's factors on the given sites, in order."""
-    for site in sites:
+def _times_ends(result: FiniteOperator, ends: Sequence[Pair], op: FiniteOperator, lo: int) -> FiniteOperator:
+    """result times the images of op's factors on the end sites lo, lo + 1, ..., in order."""
+    for site, (x_image, z_image) in enumerate(ends, lo):
         if (op.x_mask >> site) & 1:
-            result = result * rule.x_images[site]
+            result = result * x_image
         if (op.z_mask >> site) & 1:
-            result = result * rule.z_images[site]
+            result = result * z_image
     return result
 
 
@@ -223,7 +213,7 @@ def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
 
     The kernel's run is mapped in one pass, in the affine-plus-quadratic
     form of a Clifford step: masks by an XOR of rotations, the phase by
-    popcounts.  The other sites' images are multiplied on one at a time,
+    popcounts.  The end sites' images are multiplied on one at a time,
     as prefix * bulk * suffix in site order.
     """
     n, (lo, hi, phases, moves, pairs) = rule.n_sites, rule.kernel
@@ -238,9 +228,10 @@ def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
         crossings ^= b[t] & (b[u] >> d)
     phase = phases[0] * b[0].bit_count() + phases[1] * b[1].bit_count() + 2 * crossings.bit_count()
     full = (1 << n) - 1
-    bulk = FiniteOperator(n, out[0] & full, out[1] & full, op.phase_exp + phase)
-    prefix = _times_sites(FiniteOperator.identity(n), rule, op, range(lo))
-    return _times_sites(prefix * bulk, rule, op, range(hi, n))
+    result = FiniteOperator(n, out[0] & full, out[1] & full, op.phase_exp + phase)
+    if (op.x_mask | op.z_mask) & ((1 << lo) - 1):
+        result = _times_ends(FiniteOperator.identity(n), rule.left, op, 0) * result
+    return _times_ends(result, rule.right, op, hi)
 
 
 def evolve_finite(rule: FiniteRule, op: FiniteOperator, steps: int) -> list[FiniteOperator]:
@@ -261,24 +252,35 @@ def invert_rule(rule: FiniteRule) -> FiniteRule:
     bit k where the image of Z_k (X_k) has Z on site s; that of Z_s reads
     X on site s.  Each phase makes one forward step return X_s or Z_s with
     + sign; a step landing elsewhere means M is not symplectic (ValueError).
+    Checked at every site, M is symplectic, so an inverse image gathers the
+    images within the bulk's reach r (its farthest move) of its site: each
+    open end of the inverse is r sites wider (a ring has none), and its bulk
+    is the pair of its first run site rotated back to site 0.
     """
     n = rule.n_sites
     # rows[part][source][s] has bit k where the image of source_k has part on site s.
     rows = [[[0] * n for _ in "XZ"] for _ in "XZ"]
-    for source, images in enumerate((rule.x_images, rule.z_images)):
-        for k, image in enumerate(images):
+    for k in range(n):
+        for source, image in enumerate(rule.images(k)):
             for part, mask in enumerate((image.x_mask, image.z_mask)):
                 for s in LaurentPoly(mask).exponents():
                     rows[part][source][s] |= 1 << k
     inverse = []
-    for part, letter in ((1, "X"), (0, "Z")):
-        for site, (x, z) in enumerate(zip(rows[part][1], rows[part][0])):
+    for part in (1, 0):
+        for site in range(n):
+            x, z = rows[part][1][site], rows[part][0][site]
             forward = step(rule, FiniteOperator(n, x, z))
-            target = FiniteOperator.single_site(n, site, letter)
-            if (forward.x_mask, forward.z_mask) != (target.x_mask, target.z_mask):
+            if (forward.x_mask, forward.z_mask) != (part << site, (1 - part) << site):
                 raise ValueError("the rule's update matrix is not symplectic")
             inverse.append(FiniteOperator(n, x, z, -forward.phase_exp))
-    return FiniteRule(n, rule.boundary, tuple(inverse[:n]), tuple(inverse[n:]))
+    pairs = list(zip(inverse[:n], inverse[n:]))
+    reach = max((min(e, n - e) for *_, e in rule.kernel[3]), default=0) if rule.left or rule.right else 0
+    lo = min(len(rule.left) + reach, n)
+    hi = max(n - len(rule.right) - reach, lo)
+    anchor = min(lo, n - 1)
+    # Moved back to site 0, the anchor's pair is that of site N - anchor on the ring rule it spans.
+    bulk = FiniteRule(n, "ring", pairs[anchor]).images(-anchor % n)
+    return FiniteRule(n, rule.boundary, bulk, tuple(pairs[:lo]), tuple(pairs[hi:]))
 
 
 def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
@@ -290,13 +292,10 @@ def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
     """
     if rule.boundary != "open":
         raise ValueError("mirroring is an open-boundary phenomenon")
-    cap = 2 * rule.n_sites + 2
-    mirrored = rule.n_sites - 1 - site
     op = FiniteOperator.single_site(rule.n_sites, site, letter)
-    for k in range(1, cap + 1):
+    for k in range(1, 2 * rule.n_sites + 3):
         op = step(rule, op)
-        support = op.x_mask | op.z_mask
-        if support.bit_count() == 1 and support == 1 << mirrored:
+        if op.x_mask | op.z_mask == 1 << (rule.n_sites - 1 - site):
             return k
     return None
 
@@ -350,7 +349,7 @@ def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
     commute and be independent (pure state): the basis must have N rows.
     """
     n, full = n_sites, (1 << n_sites) - 1
-    x0, z0 = (_poly_to_mask(p, n) for p in (seed.xi.xi_plus, seed.xi.xi_minus))
+    x0, z0 = (_folded(p, n) for p in (seed.xi.xi_plus, seed.xi.xi_minus))
     lo, hi = seed.xi.support() or (0, 0)
     for d in range(1, min(hi - lo, n - 1) + 1):
         if ((x0 & _rotated(z0, d, n, full)) ^ (z0 & _rotated(x0, d, n, full))).bit_count() % 2:

@@ -258,9 +258,9 @@ def parse_poly(text: str) -> LaurentPoly:
         if current() in ("+", "-"):
             digits += current()
             pos += 1
-        if current() is None or not current().isdigit():
+        if not "0" <= (current() or "") <= "9":
             raise PolySyntaxError("expected an integer exponent", where())
-        while current() is not None and current().isdigit():
+        while "0" <= (current() or "") <= "9":
             digits += current()
             pos += 1
         return int(digits)

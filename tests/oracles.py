@@ -2,12 +2,15 @@
 
 Everything here works on exponent sets / dicts with naive loops and
 never touches the bitset code paths it checks; the finite-chain step
-multiplies one-site images with FiniteOperator.__mul__, site by site,
-and prefix_ranks checks the ring oracle's row elimination by an
-independent column-rank pass.  reference_rank is a pivot-list
-elimination, and generator_entropy over ring_translates is the ring
-oracle from the full generator matrix.
+moves a rule's bulk pair to each site bit by bit and multiplies the
+one-site images with FiniteOperator.__mul__, site by site, and
+prefix_ranks checks the ring oracle's row elimination by an independent
+column-rank pass.  reference_rank is a pivot-list elimination, and
+generator_entropy over ring_translates is the ring oracle from the full
+generator matrix.
 """
+
+import functools
 
 from cqcalab.finite_chain import FiniteOperator, GeneratorsDoNotCommute, NotPure
 from cqcalab.laurent import LaurentPoly
@@ -98,14 +101,32 @@ def letter_at(op, site):
     return "1XZY"[(op.x_mask >> site) & 1 | ((op.z_mask >> site) & 1) << 1]
 
 
+@functools.lru_cache(maxsize=16)
+def rule_images(rule):
+    """Every site's (X image, Z image): the stored end pairs, and the bulk pair moved bit by bit between them.
+
+    Cached per rule, since step_per_site walks whole evolutions of one rule.
+    """
+    n = rule.n_sites
+    bits = [[[e for e in range(n) if (mask >> e) & 1] for mask in (k.x_mask, k.z_mask)] for k in rule.bulk]
+
+    def moved(site):
+        return tuple(
+            FiniteOperator(n, *(sum(1 << ((e + site) % n) for e in sites) for sites in parts), k.phase_exp)
+            for k, parts in zip(rule.bulk, bits)
+        )
+
+    return (*rule.left, *map(moved, range(len(rule.left), n - len(rule.right))), *rule.right)
+
+
 def step_per_site(rule, op):
     """Reference for finite_chain.step: the one-site images multiplied in site order."""
     result = FiniteOperator(rule.n_sites, 0, 0, op.phase_exp)
-    for site in range(rule.n_sites):
+    for site, (x_image, z_image) in enumerate(rule_images(rule)):
         if (op.x_mask >> site) & 1:
-            result = result * rule.x_images[site]
+            result = result * x_image
         if (op.z_mask >> site) & 1:
-            result = result * rule.z_images[site]
+            result = result * z_image
     return result
 
 

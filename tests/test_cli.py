@@ -4,7 +4,7 @@ import io
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as hst
+from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from cqcalab import cli
 from cqcalab.cli import main
@@ -270,6 +270,22 @@ class TestFinite:
         assert code == 0
         assert out.splitlines()[1] == "1\t-11ZYZ11"
 
+    # Digests of the output before a FiniteRule stored only its bulk and end pairs.
+    @pytest.mark.parametrize("argv, digest", [
+        ("finite fractal --sites 512 --boundary ring --obs=Y@399 --steps 64",
+         "3d0a16c3c2ba59ccdcab1976aed29f5b2f928edf7f6a01feb405bb50f47f63ff"),
+        ("finite glider --sites 256 --boundary ring --obs=ZX@7 --steps 256",
+         "91f5b3c84e7e7c690fa2a3e919a1a5345bdf08f653bea1f7dd21318dc4bd1977"),
+        ("finite shear:u^-2+u^2 --sites 40 --obs=XYZ@0 --steps 40",
+         "294362276c9053b7c4e9c8d7f05592f19e51d7845b080370c5f6de158e93853f"),
+        ("finite fractal --sites 33 --origin=-16 --obs=XYZ@-6 --steps 40",
+         "5c23dd85b74ee1d50fcadcd9639998504cd3f8e9a0f32a2c2eb102ebe0955564"),
+    ])
+    def test_golden_evolutions(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_truncation_failure_reported(self, capsys):
         code, _, err = run(
             capsys, "finite", "--t11", "1", "--t12", "u^-1 + u",
@@ -392,13 +408,40 @@ OBSERVABLES = hst.builds(
 )
 
 
+KEYS = ("t11", "t12", "t21", "t22")
+# Lines the matrix-file grammar must reject or skip: unknown keys, comments,
+# blank lines, a tab separator, and exponents in non-ASCII digits.
+ODD_LINES = ["t13 1", "T11 1", "t11", "# t11 u", "", "   ", "\t", "t11\t1", "t22 u^\u00b2", "t12 1 + u^\u0663"]
+
+
+@hst.composite
+def matrix_files(draw):
+    """Matrix-file bytes: keys (missing or repeated) with POLYS values, odd lines, CRLF, a BOM, bad UTF-8."""
+    lines = [f"{key} {draw(POLYS)}" for key in draw(hst.lists(hst.sampled_from(KEYS), max_size=6))]
+    for line in draw(hst.lists(hst.sampled_from(ODD_LINES), max_size=3)):
+        lines.insert(draw(hst.integers(min_value=0, max_value=len(lines))), line)
+    data = draw(hst.sampled_from(["\n", "\r\n"])).join(lines).encode()
+    if draw(hst.booleans()):
+        data = "\ufeff".encode() + data
+    if draw(hst.booleans()):
+        cut = draw(hst.integers(min_value=0, max_value=len(data)))
+        data = data[:cut] + draw(hst.sampled_from([b"\xff", b"\x80", b"\xc3("])) + data[cut:]
+    return data
+
+
 def exit_code(argv):
-    """main(argv) with output discarded; argparse's own exit counts as its code."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    """main(argv) with output discarded; argparse's own exit counts as its code.
+
+    No input may end in a traceback, printed or raised.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    assert "Traceback" not in err.getvalue()
+    return code
 
 
 class TestGrammarInputs:
@@ -429,3 +472,13 @@ class TestGrammarInputs:
     @settings(max_examples=150, deadline=None)
     def test_observable_grammar(self, literal, command):
         assert exit_code([*command, f"--obs={literal}"]) in (0, 1, 2)
+
+    @given(matrix_files(), hst.sampled_from(["validate", "classify"]))
+    @example(b"t11 u^-1 + u\nt12 1\nt21 1\nt22 0\n", "classify")
+    @example("\ufeff# glider\r\nt11 u^-1 + u\r\n\r\nt12 1\r\nt21 1\r\nt22 0\r\n".encode(), "validate")
+    @example(b"t11 u^\xc2\xb2\nt12 1\nt21 1\nt22 0\n", "validate")
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matrix_file_grammar(self, tmp_path, data, command):
+        path = tmp_path / "m.cqca"
+        path.write_bytes(data)
+        assert exit_code([command, str(path)]) in (0, 1, 2)

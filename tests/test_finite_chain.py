@@ -39,6 +39,7 @@ from oracles import (
     prefix_ranks,
     reference_rank,
     ring_translates,
+    rule_images,
     scalar_product_terms,
     step_per_site,
     xor_terms,
@@ -49,9 +50,25 @@ def S(text):
     return validate_state(parse_observable(text))
 
 
+def all_images(rule):
+    """The 2N one-site images from FiniteRule.images: those of X_0.., then Z_0...."""
+    pairs = [rule.images(site) for site in range(rule.n_sites)]
+    return [pair[part] for part in (0, 1) for pair in pairs]
+
+
 def update_columns(rule):
     """Columns of the 2N x 2N update matrix: image j as X bits low, Z bits high."""
-    return [op.x_mask | (op.z_mask << rule.n_sites) for op in rule.x_images + rule.z_images]
+    return [op.x_mask | (op.z_mask << rule.n_sites) for op in all_images(rule)]
+
+
+def op_at(n_sites, letters, first):
+    """The Hermitian + Pauli product of the letters from site first on, wrapped around n_sites."""
+    x = z = 0
+    for k, letter in enumerate(letters):
+        site = (first + k) % n_sites
+        x |= (letter in "XY") << site
+        z |= (letter in "ZY") << site
+    return FiniteOperator.hermitian(n_sites, x, z)
 
 
 def op7(letters, phase=0):
@@ -141,6 +158,32 @@ class TestTruncateRule:
         with pytest.raises(ValueError):
             truncate_rule(glider(), 2, "open")
 
+    def test_ring_rule_is_one_pair(self):
+        # Storing all 2N rotated images peaked at 5.9 MiB here.
+        tracemalloc.start()
+        try:
+            rule = truncate_rule(fractal(), 4096, "ring")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rule.left == rule.right == ()
+        assert peak < 64 * 2**10
+        assert rule.images(4095) == (op_at(4096, "XYX", 4094), op_at(4096, "X", 4095))
+
+    def test_open_rule_stores_cut_pairs(self):
+        rule = truncate_rule(glider(), 7, "open")
+        assert rule.left == ((op_at(7, "Z", 0), op_at(7, "XZ", 0)),)
+        assert rule.right == ((op_at(7, "Z", 6), op_at(7, "ZX", 5)),)
+        assert rule.images(3) == (op_at(7, "Z", 3), op_at(7, "ZXZ", 2))
+
+    def test_ends_must_fit_the_chain(self):
+        rule = truncate_rule(glider(), 7, "open")
+        with pytest.raises(ValueError, match="end pairs cover more than the chain"):
+            finite_chain.FiniteRule(7, "open", rule.bulk, rule.left * 4, rule.right * 4)
+        for site in (-1, 7):
+            with pytest.raises(ValueError, match=f"site {site} outside 0..6"):
+                rule.images(site)
+
 
 def reference_images(t, n_sites, boundary):
     """The 2N one-site images (X_0.., then Z_0..) as (X sites, Z sites) term sets.
@@ -187,7 +230,7 @@ def truncation_verdict(t, n_sites, boundary):
         (sum(1 << e for e in x_sites), sum(1 << e for e in z_sites))
         for x_sites, z_sites in reference_images(t, n_sites, boundary)
     ]
-    assert [(op.x_mask, op.z_mask) for op in rule.x_images + rule.z_images] == masks
+    assert [(op.x_mask, op.z_mask) for op in all_images(rule)] == masks
     return True
 
 
@@ -343,9 +386,9 @@ class TestBitSlicedStep:
            hst.integers(min_value=1, max_value=6))
     @settings(max_examples=60, deadline=None)
     def test_corrupted_rules(self, seed, boundary, corruptions):
-        # Images replaced by arbitrary operators break translation invariance
-        # (and the automorphism property); step must still multiply images.
-        # One image keeps its masks but not its phase, which must end the run too.
+        # Bulk and end images replaced by arbitrary operators break the
+        # automorphism property, and ends of any width break the cut; step must
+        # still multiply the images.  One image keeps its masks but not its phase.
         rng = random.Random(seed)
         t = random_cqca(seed, 2, 1)
         n_sites = 2 * t.matrix.max_entry_degree() + 1 + rng.randrange(20)
@@ -353,31 +396,33 @@ class TestBitSlicedStep:
             rule = truncate_rule(t, n_sites, boundary)
         except BoundaryBreaksAutomorphism:
             rule = truncate_rule(t, n_sites, "ring")
-        images = [list(rule.x_images), list(rule.z_images)]
+        left, right = (rng.randrange(n_sites // 2 + 1) for _ in "LR")
+        end_sites = [*range(left), *range(n_sites - right, n_sites)]
+        pairs = [list(rule.bulk)] + [list(rule.images(s)) for s in end_sites]
         for _ in range(corruptions):
-            images[rng.randrange(2)][rng.randrange(n_sites)] = random_operator(rng, n_sites)
-        part, site = rng.randrange(2), rng.randrange(n_sites)
-        image = images[part][site]
-        images[part][site] = FiniteOperator(
-            n_sites, image.x_mask, image.z_mask, image.phase_exp + 1 + rng.randrange(3)
-        )
-        corrupted = finite_chain.FiniteRule(n_sites, rule.boundary, *map(tuple, images))
+            rng.choice(pairs)[rng.randrange(2)] = random_operator(rng, n_sites)
+        pair, part = rng.choice(pairs), rng.randrange(2)
+        image = pair[part]
+        pair[part] = FiniteOperator(n_sites, image.x_mask, image.z_mask, image.phase_exp + 1 + rng.randrange(3))
+        bulk, *ends = map(tuple, pairs)
+        corrupted = finite_chain.FiniteRule(n_sites, rule.boundary, bulk, tuple(ends[:left]), tuple(ends[left:]))
+        assert tuple(corrupted.images(s) for s in range(n_sites)) == rule_images(corrupted)
         assert_step_matches_reference(corrupted, rng)
 
     @pytest.mark.parametrize("t", [glider(), fractal(), random_cqca(0, 3, 2)])
     def test_kernel_run(self, t):
+        # A ring has no ends; an open chain stores the r cut sites at each end, its inverse 2r.
         radius = t.matrix.max_entry_degree()
         n_sites = 4 * radius + 9
         ring = truncate_rule(t, n_sites, "ring")
-        assert ring.kernel[:2] == (0, n_sites)
+        assert ring.kernel[:2] == (0, n_sites) and ring.left == ring.right == ()
         inverse = invert_rule(ring)
-        assert inverse.kernel[:2] == (0, n_sites)
+        assert inverse.kernel[:2] == (0, n_sites) and inverse.left == inverse.right == ()
         for rule in truncations(t, [n_sites]):
             if rule.boundary == "open":
-                lo, hi = rule.kernel[:2]
-                assert lo <= radius and hi >= n_sites - radius
-                lo, hi = invert_rule(rule).kernel[:2]
-                assert lo <= 2 * radius and hi >= n_sites - 2 * radius
+                assert rule.kernel[:2] == (radius, n_sites - radius)
+                assert len(rule.left) == len(rule.right) == radius
+                assert invert_rule(rule).kernel[:2] == (2 * radius, n_sites - 2 * radius)
 
     @pytest.mark.parametrize("t, n_sites", [(glider(), 7), (fractal(), 7), (glider(), 64)])
     def test_mirror_time_pinned_to_reference(self, t, n_sites):
@@ -437,8 +482,41 @@ class TestInvertRule:
         assert update_columns(inverse) == gauss_jordan_inverse(update_columns(rule), 2 * n_sites)
         # Phases: one forward step returns each inverse image to X_s or Z_s, sign included.
         for site in range(n_sites):
-            assert step(rule, inverse.x_images[site]) == FiniteOperator.single_site(n_sites, site, "X")
-            assert step(rule, inverse.z_images[site]) == FiniteOperator.single_site(n_sites, site, "Z")
+            x_image, z_image = inverse.images(site)
+            assert step(rule, x_image) == FiniteOperator.single_site(n_sites, site, "X")
+            assert step(rule, z_image) == FiniteOperator.single_site(n_sites, site, "Z")
+
+    @given(hst.integers(min_value=0, max_value=10**6),
+           hst.integers(min_value=0, max_value=4),
+           hst.integers(min_value=1, max_value=2),
+           hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=0, max_value=24))
+    @settings(max_examples=40, deadline=None)
+    def test_double_inverse_is_the_rule(self, seed, word_length, shear_degree, boundary, extra):
+        # The inverse's ends are r wider than the rule's, and the double inverse's 2r.
+        t = random_cqca(seed, word_length, shear_degree)
+        n_sites = 2 * t.matrix.max_entry_degree() + 1 + extra
+        try:
+            rule = truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            return
+        twice = invert_rule(invert_rule(rule))
+        assert [twice.images(s) for s in range(n_sites)] == [rule.images(s) for s in range(n_sites)]
+
+    @pytest.mark.parametrize("boundary", ["ring", "open"])
+    def test_forward_step_checks_every_site(self, boundary):
+        # Every site's inverse pair is checked by one forward step, run sites included.
+        rule = truncate_rule(glider(), 12, boundary)
+        landed = set()
+
+        def recording_step(rule, op):
+            out = step(rule, op)
+            landed.add((out.x_mask, out.z_mask))
+            return out
+
+        with mock.patch.object(finite_chain, "step", recording_step):
+            invert_rule(rule)
+        assert landed == {(1 << s, 0) for s in range(12)} | {(0, 1 << s) for s in range(12)}
 
     def test_sweep_covers_open_and_ring(self):
         seen = set()
@@ -453,11 +531,16 @@ class TestInvertRule:
 
     @pytest.mark.parametrize("t, boundary", [(glider(), "ring"), (fractal(), "open"), (identity(), "open")])
     def test_non_symplectic_rule_rejected(self, t, boundary):
+        # The bulk's X image, then site 0's (a new end pair where the rule has none).
         rule = truncate_rule(t, 9, boundary)
-        for bad in (rule.x_images[4] * FiniteOperator.single_site(9, 6, "Z"), FiniteOperator.identity(9)):
-            corrupted = dataclasses.replace(rule, x_images=rule.x_images[:4] + (bad,) + rule.x_images[5:])
-            with pytest.raises(ValueError, match="not symplectic"):
-                invert_rule(corrupted)
+        x_image, z_image = rule.images(0)
+        for good, corrupt in [
+            (rule.bulk[0], lambda bad: dataclasses.replace(rule, bulk=(bad, rule.bulk[1]))),
+            (x_image, lambda bad: dataclasses.replace(rule, left=((bad, z_image),) + rule.left[1:])),
+        ]:
+            for bad in (good * FiniteOperator.single_site(9, 6, "Z"), FiniteOperator.identity(9)):
+                with pytest.raises(ValueError, match="not symplectic"):
+                    invert_rule(corrupt(bad))
 
     def test_large_ring_inverts_quickly(self):
         # The Gauss-Jordan inverse took over a second here at 1024 sites.
@@ -682,6 +765,14 @@ class TestRingOracleFastPath:
         rows = reference_ring_rows(state, 12)
         expected = [generator_entropy(rows, 12, range(size)) for size in range(13)]
         assert ring_entropy_profile(state, 12) == expected
+
+    @pytest.mark.parametrize("shift", [12, -12, 5 * 12 + 3, -7 * 12 - 5])
+    def test_seed_moved_past_the_ring_wraps(self, shift):
+        # Translates by whole rings are the same state; the wrap must take every exponent mod N.
+        state = S("ZXZ@-1")
+        moved = TIStabilizerState(state.xi.shifted(shift), state.n)
+        assert ring_entropy_profile(moved, 12) == ring_entropy_profile(state, 12)
+        assert ring_state_entropy(moved, 12, [5, 0, 7]) == ring_state_entropy(state, 12, [5, 0, 7])
 
     def test_profile_ring_too_short(self):
         with pytest.raises(ValueError, match="ring shorter"):

@@ -69,6 +69,13 @@ class TestParseRender:
             P(bad)
         assert err.value.position >= 0
 
+    @pytest.mark.parametrize("bad, position", [("u^\u00b2", 2), ("1 + u^\u0663", 6), ("u^-\u00b2", 3)])
+    def test_exponent_takes_only_ascii_digits(self, bad, position):
+        # str.isdigit accepts the superscript two and the Arabic-Indic three.
+        with pytest.raises(PolySyntaxError, match="expected an integer exponent") as err:
+            P(bad)
+        assert err.value.position == position
+
     def test_render_style(self):
         assert render_poly(P("u + u^-1 + 1")) == "u^-1 + 1 + u"
         assert render_poly(LaurentPoly.zero()) == "0"
