@@ -20,7 +20,7 @@ from .finite_chain import (
     NotPure,
 )
 from .laurent import LaurentPoly, PolySyntaxError, render_poly
-from .phase_space import PhaseVector, parse_observable
+from .phase_space import PhaseVector, parse_int, parse_observable
 from .stabilizer import StateValidationError
 
 
@@ -49,12 +49,12 @@ class UsageError(Exception):
     pass
 
 
-def _int_at_least(minimum: int):
-    """argparse type for integers >= minimum; anything else exits 2."""
+def _int_at_least(minimum: float = float("-inf")):
+    """argparse type for integers >= minimum in ASCII digits; anything else exits 2."""
 
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < minimum:
@@ -106,8 +106,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    diagram = render.build_diagram(t, parse_observable(args.obs), args.steps)
-    _write_output(render.emit(diagram, args.format), args.output)
+    data = render.emit(render.build_diagram(t, parse_observable(args.obs), args.steps), args.format)
+    _write_output(data, args.output)
     return 0
 
 
@@ -133,7 +133,7 @@ def _parse_site_letter(flag: str, text: str, origin: int, n_sites: int) -> tuple
     if not sep or letter not in ("X", "Y", "Z"):
         raise UsageError(f"expected SITE:LETTER with letter X, Y or Z, got {text!r}")
     try:
-        site = int(site_text)
+        site = parse_int(site_text)
     except ValueError:
         raise UsageError(f"{flag}: expected an integer site, got {site_text!r}") from None
     if not origin <= site < origin + n_sites:
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_matrix_arguments(p)
     p.add_argument("--sites", type=_int_at_least(1), required=True)
     p.add_argument("--boundary", choices=("open", "ring"), default="open")
-    p.add_argument("--origin", type=int, default=0, help="label of the leftmost site")
+    p.add_argument("--origin", type=_int_at_least(), default=0, help="label of the leftmost site")
     p.add_argument("--obs", help="observable to evolve")
     p.add_argument("--steps", type=_int_at_least(0), default=0)
     p.add_argument("--mirror", metavar="SITE:LETTER", help="search for the mirror step")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="symbolic-vs-ring equivalence sweep")
     p.add_argument("--samples", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(), required=True)
     p.add_argument("--ring", type=_int_at_least(1), default=64)
     p.add_argument("--steps", type=_int_at_least(0), default=20)
     p.add_argument("--word-length", type=_int_at_least(0), default=6)

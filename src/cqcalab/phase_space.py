@@ -126,13 +126,20 @@ def symplectic_form(a: PhaseVector, b: PhaseVector) -> int:
     )
 
 
+def parse_int(text: str) -> int:
+    """int(text) for an optional sign then ASCII digits only: no other digits, '_' or spaces."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def parse_observable(text: str) -> PhaseVector:
     """Parse the "ZYX@-1" literal format; "@offset" defaults to 0."""
     body, sep, tail = text.strip().partition("@")
     offset = 0
     if sep:
         try:
-            offset = int(tail)
+            offset = parse_int(tail)
         except ValueError:
             raise ValueError(f"bad observable offset {tail!r}") from None
     return pauli_to_phase_space(body, offset)

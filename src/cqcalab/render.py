@@ -5,9 +5,11 @@ output formats (row 0 first).  The ASCII format uses '.', 'X', 'Y', 'Z';
 the PPM format is binary P6 with one pixel per cell and a fixed palette,
 so identical diagrams always produce identical bytes.
 
-Both stages work a whole row at a time: each row of letters is built from
-the two bitsets of one :meth:`ValidatedCqca.orbit` frame by ``site_letters``,
-and each PPM colour channel of a row is written by one byte translation.
+A diagram is one packed buffer, two bits a site: the window-aligned x and
+z rows of all :meth:`ValidatedCqca.orbit` frames, Frobenius-spread and
+combined as x(u**2) + u*z(u**2), so each byte holds 4 sites as x | z << 1.
+``emit`` fills each output byte position by one whole-buffer translation,
+then one join drops each row's padding.
 """
 
 from __future__ import annotations
@@ -16,33 +18,41 @@ import dataclasses
 from typing import Literal
 
 from .automaton import ValidatedCqca
-from .phase_space import PhaseVector, site_letters
+from .laurent import spread_bits
+from .phase_space import PhaseVector
 
-_PALETTE = {
-    "1": (255, 255, 255),
-    "X": (255, 0, 0),
-    "Y": (0, 255, 0),
-    "Z": (0, 0, 255),
-}
-_LETTERS = "".join(_PALETTE).encode("ascii")
-# One bytes.translate table per colour channel: letter -> channel value.
-_CHANNELS = tuple(
-    bytes.maketrans(_LETTERS, bytes(rgb[c] for rgb in _PALETTE.values())) for c in range(3)
-)
+# The output bytes of one cell, per code x | z << 1 (identity, X, Z, Y); PPM
+# draws them white, red, blue and green.
+_ASCII = b".XZY"
+_PPM = bytes((255, 255, 255, 255, 0, 0, 0, 0, 255, 0, 255, 0))
 
 
 @dataclasses.dataclass(frozen=True)
 class SpaceTimeDiagram:
-    rows: tuple[str, ...]
+    # Rows of row_bytes bytes; byte j of a row holds site left + 4j + i as bits 2i (x) and 2i + 1 (z).
+    packed: bytes
     window: tuple[int, int]  # leftmost and rightmost site shown
+
+    def __post_init__(self):
+        if self.width < 1 or len(self.packed) % self.row_bytes:
+            raise ValueError("packed must hold whole rows of a nonempty window")
 
     @property
     def width(self) -> int:
         return self.window[1] - self.window[0] + 1
 
     @property
+    def row_bytes(self) -> int:
+        return 2 * ((self.width + 7) // 8)
+
+    @property
     def height(self) -> int:
-        return len(self.rows)
+        return len(self.packed) // self.row_bytes
+
+    @property
+    def rows(self) -> tuple[str, ...]:
+        """Each row's letters over '1XYZ', leftmost site first."""
+        return tuple(str(row, "ascii") for row in _cells(self, b"1XZY"))
 
 
 def build_diagram(
@@ -56,37 +66,39 @@ def build_diagram(
     if steps < 1:
         raise ValueError("steps must be positive")
     frames = list(t.orbit(initial, steps))
-    occupied = [(x | z, base) for x, z, base in frames if x | z]
-    left = min((base + (m & -m).bit_length() for m, base in occupied), default=1) - 2
-    right = max((base + m.bit_length() for m, base in occupied), default=1)
-    width = right - left + 1
-    rows = []
+    spans = [(b + (m & -m).bit_length(), b + m.bit_length()) for x, z, b in frames if (m := x | z)]
+    left = min((lo for lo, _ in spans), default=1) - 2
+    right = max((hi for _, hi in spans), default=1)
+    size = (right - left + 8) // 8
+    xs, zs = [], []
     for x, z, base in frames:
         s = base - left
-        rows.append(site_letters(*((x << s, z << s) if s >= 0 else (x >> -s, z >> -s)), width))
-    return SpaceTimeDiagram(tuple(rows), (left, right))
+        xs.append((x << s if s >= 0 else x >> -s).to_bytes(size, "little"))
+        zs.append((z << s if s >= 0 else z >> -s).to_bytes(size, "little"))
+    x, z = (int.from_bytes(spread_bits(b"".join(row)), "little") for row in (xs, zs))
+    return SpaceTimeDiagram((x | z << 1).to_bytes(2 * size * len(frames), "little"), (left, right))
+
+
+def _cells(d: SpaceTimeDiagram, symbols: bytes) -> list[memoryview]:
+    """Each row's cells as views of one buffer; code k's cell is the k-th quarter of ``symbols``.
+
+    One whole-buffer translation writes each byte of each site position in a packed byte.
+    """
+    c = len(symbols) // 4
+    cells = bytearray(4 * c * len(d.packed))
+    for i in range(4):
+        for j in range(c):
+            # Byte b holds code (b >> 2i) & 3: each code's run of 4**i bytes, 4**(3 - i) times.
+            table = bytes(symbols[c * code + j] for code in range(4) for _ in range(4**i))
+            cells[c * i + j :: 4 * c] = d.packed.translate(table * 4 ** (3 - i))
+    view, row = memoryview(cells), 4 * c * d.row_bytes
+    return [view[k : k + c * d.width] for k in range(0, len(cells), row)]
 
 
 def emit(d: SpaceTimeDiagram, format: Literal["ascii", "ppm"]) -> bytes:
     """Serialize a diagram; byte-exact across platforms."""
     if format == "ascii":
-        translated = (row.replace("1", ".") for row in d.rows)
-        return ("\n".join(translated) + "\n").encode("ascii")
+        return b"\n".join([*_cells(d, _ASCII), b""])
     if format == "ppm":
-        header = f"P6\n{d.width} {d.height}\n255\n".encode("ascii")
-        row_size = 3 * d.width
-        # One buffer for the header and every pixel, filled in place, so no
-        # second copy of the pixels exists until the final bytes().
-        pixels = bytearray(len(header) + row_size * d.height)
-        pixels[: len(header)] = header
-        start = len(header)
-        for row in d.rows:
-            row_bytes = row.encode("ascii")
-            if row_bytes.translate(None, _LETTERS):
-                raise ValueError(f"row holds letters outside {_LETTERS.decode()!r}")
-            end = start + row_size
-            for c, channel in enumerate(_CHANNELS):
-                pixels[start + c : end : 3] = row_bytes.translate(channel)
-            start = end
-        return bytes(pixels)
+        return b"".join([f"P6\n{d.width} {d.height}\n255\n".encode("ascii"), *_cells(d, _PPM)])
     raise ValueError(f"unknown format {format!r}")

@@ -7,7 +7,8 @@ one-site images with FiniteOperator.__mul__, site by site, and
 prefix_ranks checks the ring oracle's row elimination by an independent
 column-rank pass.  reference_rank is a pivot-list elimination, and
 generator_entropy over ring_translates is the ring oracle from the full
-generator matrix.
+generator matrix.  diagram_per_cell writes a space-time diagram one cell
+at a time from term sets stepped by matvec_terms.
 """
 
 import functools
@@ -94,6 +95,39 @@ def matrix_terms(m):
         (to_terms(m.t11), to_terms(m.t12)),
         (to_terms(m.t21), to_terms(m.t22)),
     )
+
+
+# A diagram cell's ASCII character and PPM pixel, by (X bit, Z bit): 1, X, Y, Z.
+DIAGRAM_CELLS = {
+    (0, 0): (b".", (255, 255, 255)),
+    (1, 0): (b"X", (255, 0, 0)),
+    (1, 1): (b"Y", (0, 255, 0)),
+    (0, 1): (b"Z", (0, 0, 255)),
+}
+
+
+def diagram_per_cell(matrix, vector, steps, format):
+    """Reference for render: the ASCII or PPM diagram of vector, M vector, ..., M**steps vector.
+
+    matrix and vector are term sets (see matrix_terms).  The window is the
+    union of the rows' supports padded by one site on each side, or sites
+    -1..1 when every row is the identity; each cell is written on its own.
+    """
+    rows = [vector]
+    for _ in range(steps):
+        rows.append(matvec_terms(matrix, rows[-1]))
+    sites = set().union(*(set(x) | set(z) for x, z in rows))
+    left, right = (min(sites) - 1, max(sites) + 1) if sites else (-1, 1)
+    out = bytearray()
+    if format == "ppm":
+        out += f"P6\n{right - left + 1} {len(rows)}\n255\n".encode("ascii")
+    for x, z in rows:
+        for site in range(left, right + 1):
+            char, pixel = DIAGRAM_CELLS[site in x, site in z]
+            out += bytes(pixel) if format == "ppm" else char
+        if format == "ascii":
+            out += b"\n"
+    return bytes(out)
 
 
 def letter_at(op, site):

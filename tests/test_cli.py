@@ -467,6 +467,31 @@ class TestGrammarInputs:
         assert exit_code([*command, *flags]) in (0, 1, 2)
         assert exit_code(["validate", f"shear:{entries[0]}"]) in (0, 1, 2)
 
+    @pytest.mark.parametrize("literal", ["X@\u0663", "X@\uff13", "X@1_0"])
+    @pytest.mark.parametrize("command", [["evolve", "glider", "--steps", "1"], ["diagram", "glider", "--steps", "1"]])
+    def test_observable_offset_takes_only_ascii_digits(self, capsys, literal, command):
+        code, out, err = run(capsys, *command, f"--obs={literal}")
+        assert (code, out) == (1, "")
+        assert err == f"error: bad observable offset {literal[2:]!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "glider", "--obs", "X", "--steps", "\u0661\u0660"],
+            ["finite", "fractal", "--sites", "\uff19"],
+            ["finite", "glider", "--sites", "7", "--origin", "\u0663"],
+            ["oracle", "--samples", "1", "--seed", "1_0"],
+        ],
+    )
+    def test_integer_flags_take_only_ascii_digits(self, capsys, argv):
+        err = usage_exit(capsys, *argv)
+        assert f"invalid int value: {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("flag", ["--mirror", "--parity"])
+    def test_site_label_takes_only_ascii_digits(self, capsys, flag):
+        code, out, err = run(capsys, "finite", "glider", "--sites", "7", flag, "\u0663:X")
+        assert (code, out, err) == (2, "", f"usage error: {flag}: expected an integer site, got '\u0663'\n")
+
     @given(OBSERVABLES, hst.sampled_from([["evolve", "glider", "--steps", "2"],
                                           ["finite", "fractal", "--sites", "9", "--origin=-4"]]))
     @settings(max_examples=150, deadline=None)

@@ -118,6 +118,7 @@ class TestCompose:
 class TestLiteralFormat:
     def test_parse_with_offset(self):
         assert parse_observable("ZYX@-1") == pauli_to_phase_space("ZYX", -1)
+        assert parse_observable("ZYX@+3") == pauli_to_phase_space("ZYX", 3)
 
     def test_default_offset(self):
         assert parse_observable("ZXZ") == pauli_to_phase_space("ZXZ", 0)
@@ -129,6 +130,11 @@ class TestLiteralFormat:
     def test_bad_offset(self):
         with pytest.raises(ValueError):
             parse_observable("ZXZ@q")
+
+    @pytest.mark.parametrize("offset", ["\u0663", "\uff13", "1_0", " 3", "--3", "+", ""])
+    def test_offset_is_an_optional_sign_and_ascii_digits(self, offset):
+        with pytest.raises(ValueError, match="bad observable offset"):
+            parse_observable(f"ZXZ@{offset}")
 
 
 class TestLetters:

@@ -1,10 +1,14 @@
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 
-from cqcalab.automaton import fractal, glider, identity
+from cqcalab.automaton import CqcaMatrix, fractal, glider, identity, random_cqca, swap, validate
 from cqcalab.phase_space import parse_observable
 from cqcalab.render import SpaceTimeDiagram, build_diagram, emit
+
+import oracles
 
 FRACTAL_128_ASCII_SHA256 = (
     "b06c002f99d284d82623f9a053044647fa7057444ae49f3f658d21437660a92b"
@@ -21,22 +25,11 @@ _PALETTE = {
 }
 
 
-# The per-cell PPM writer the row-at-a-time one replaced, kept as its reference.
-_PALETTE_RGB = {
-    "1": (255, 255, 255),
-    "X": (255, 0, 0),
-    "Y": (0, 255, 0),
-    "Z": (0, 0, 255),
-}
-
-
-def _ppm_per_cell(d):
-    header = f"P6\n{d.width} {d.height}\n255\n".encode("ascii")
-    pixels = bytearray()
-    for row in d.rows:
-        for letter in row:
-            pixels.extend(_PALETTE_RGB[letter])
-    return header + bytes(pixels)
+def per_cell(t, literal, steps, format):
+    """The oracle's diagram of the same automaton and observable."""
+    v = parse_observable(literal)
+    vector = (oracles.to_terms(v.xi_plus), oracles.to_terms(v.xi_minus))
+    return oracles.diagram_per_cell(oracles.matrix_terms(t.matrix), vector, steps, format)
 
 
 class TestBuildDiagram:
@@ -72,8 +65,10 @@ class TestBuildDiagram:
 
 class TestEmit:
     def test_one_cell_identity(self):
-        d = SpaceTimeDiagram(rows=("1",), window=(0, 0))
+        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        assert (d.width, d.height, d.rows) == (1, 1, ("1",))
         assert emit(d, "ascii") == b".\n"
+        assert emit(d, "ppm") == b"P6\n1 1\n255\n\xff\xff\xff"
 
     def test_ascii_rows_and_letters(self):
         d = build_diagram(glider(), parse_observable("X@0"), 2)
@@ -114,14 +109,80 @@ class TestEmit:
     def test_ppm_matches_per_cell_writer(self, t, literal, steps):
         d = build_diagram(t, parse_observable(literal), steps)
         assert set("".join(d.rows)) == set("1XYZ")
-        assert emit(d, "ppm") == _ppm_per_cell(d)
+        assert emit(d, "ppm") == per_cell(t, literal, steps, "ppm")
 
-    def test_ppm_rejects_unknown_letter(self):
-        d = SpaceTimeDiagram(rows=("1X", "QZ"), window=(0, 1))
-        with pytest.raises(ValueError):
-            emit(d, "ppm")
+    def test_constructor_rejects_partial_rows(self):
+        # A row of w sites is 2 * ceil(w / 8) bytes; an empty window has no rows.
+        for packed, window in [(b"\0" * 3, (0, 1)), (b"\0" * 6, (0, 8)), (b"", (1, 0))]:
+            with pytest.raises(ValueError):
+                SpaceTimeDiagram(packed, window)
+        assert SpaceTimeDiagram(b"\0" * 8, (0, 8)).height == 2
 
     def test_unknown_format(self):
-        d = SpaceTimeDiagram(rows=("1",), window=(0, 0))
+        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
         with pytest.raises(ValueError):
             emit(d, "svg")
+
+
+# Trace 1, so T**2 = T + I and T**3 = I: a periodic automaton of period 3.
+PERIODIC = validate(CqcaMatrix.from_strings("0", "1", "1", "1"))
+
+
+class TestPerCellOracle:
+    """emit(build_diagram(...)) equals the per-cell oracle, byte for byte, in both formats."""
+
+    @pytest.mark.parametrize("format", ["ascii", "ppm"])
+    @pytest.mark.parametrize(
+        "t, literal, steps",
+        [
+            (glider(), "X@0", 1),
+            (fractal(), "ZYX@-1", 1),
+            (identity(), "1", 1),
+            (PERIODIC, "XY1Z@2", 7),
+            (swap(), "X1Z@-5", 3),
+            (glider(), "YX@-3", 150),
+            # A right-moving glider: the orbit drops the zero words below its frames.
+            (glider(), "XYZ@-5", 150),
+            (fractal(), "Z@0", 70),
+        ],
+    )
+    def test_named_cases(self, t, literal, steps, format):
+        d = build_diagram(t, parse_observable(literal), steps)
+        assert emit(d, format) == per_cell(t, literal, steps, format)
+
+    @pytest.mark.parametrize("width", range(8, 16))
+    def test_every_width_mod_8(self, width):
+        literal = "Y" + "1" * (width - 4) + "Z@-3"
+        for t, steps in ((identity(), 1), (swap(), 2)):
+            d = build_diagram(t, parse_observable(literal), steps)
+            assert d.width == width
+            for format in ("ascii", "ppm"):
+                assert emit(d, format) == per_cell(t, literal, steps, format)
+
+    def test_random_automata(self):
+        widths = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            t = random_cqca(seed, rng.randint(0, 5), 2)
+            literal = "".join(rng.choice("1XYZ") for _ in range(rng.randint(1, 5)))
+            literal += f"@{rng.randint(-9, 9)}"
+            steps = rng.randint(1, 9)
+            d = build_diagram(t, parse_observable(literal), steps)
+            widths.add(d.width % 8)
+            for format in ("ascii", "ppm"):
+                assert emit(d, format) == per_cell(t, literal, steps, format), (seed, literal, steps)
+        assert widths == set(range(8))
+
+
+@pytest.mark.parametrize(
+    "t, literal, steps, format", [(glider(), "X@-40", 1024, "ascii"), (fractal(), "Z@0", 512, "ppm")]
+)
+def test_peak_memory_at_most_two_and_a_half_outputs(t, literal, steps, format):
+    v = parse_observable(literal)
+    tracemalloc.start()
+    try:
+        data = emit(build_diagram(t, v, steps), format)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(data)
