@@ -156,7 +156,8 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         span = v.support()
         if span is not None:
             lo, hi = span
-            # Report the leftmost site of the support that lies off the chain.
+            # Report the support's left end if that is off the chain, else the first site
+            # past the right end, whatever its letter (X1Z@2 on sites -2..2: site 3, a 1).
             if lo < origin or hi >= origin + args.sites:
                 off = lo if lo < origin else max(lo, origin + args.sites)
                 raise UsageError(f"observable site {off} falls off the chain")

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Literal, Sequence
 from . import stabilizer
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly
-from .phase_space import _LETTER_BITS, site_letters
+from .phase_space import pauli_to_phase_space, site_letters
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
@@ -67,10 +67,10 @@ class FiniteOperator:
         """The Hermitian single-site Pauli with + sign."""
         if not 0 <= site < n_sites:
             raise ValueError(f"site {site} outside 0..{n_sites - 1}")
-        if letter == "1" or letter not in _LETTER_BITS:
+        if letter not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli letter {letter!r}")
-        x, z = _LETTER_BITS[letter]
-        return cls.hermitian(n_sites, x << site, z << site)
+        v = pauli_to_phase_space(letter)
+        return cls.hermitian(n_sites, v.xi_plus.mask << site, v.xi_minus.mask << site)
 
     @classmethod
     def hermitian(cls, n_sites: int, x_mask: int, z_mask: int) -> "FiniteOperator":

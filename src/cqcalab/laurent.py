@@ -14,6 +14,7 @@ zeros), so equal polynomials compare equal structurally.
 from __future__ import annotations
 
 import dataclasses
+import re
 from typing import Iterator
 
 
@@ -225,56 +226,37 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
+# One term at a time along the whitespace-stripped text: "1", "u" or "u^<int>".
+_TERM = re.compile(r"(1)|u(\^([+-]?)([0-9]*))?")
+
+
 def parse_poly(text: str) -> LaurentPoly:
     """Parse "0" or a "+"-separated list of terms "1", "u", "u^<int>".
 
-    Whitespace is ignored.  Repeated identical terms cancel mod 2.
+    Whitespace is ignored, even inside an exponent.  Repeated terms cancel mod 2.
     """
-    stripped = [(i, c) for i, c in enumerate(text) if not c.isspace()]
+    kept = [i for i, c in enumerate(text) if not c.isspace()]
+    stripped = "".join(text[i] for i in kept)
+    kept.append(len(text))  # kept[pos] is the position of stripped[pos:] in text
     if not stripped:
         raise PolySyntaxError("empty polynomial", 0)
-    exponents: list[int] = []
-    pos = 0
-
-    def current() -> str | None:
-        return stripped[pos][1] if pos < len(stripped) else None
-
-    def where() -> int:
-        return stripped[pos][0] if pos < len(stripped) else len(text)
-
-    def parse_term() -> int:
-        nonlocal pos
-        c = current()
-        if c == "1":
-            pos += 1
-            return 0
-        if c != "u":
-            raise PolySyntaxError(f"expected a term, found {c!r}", where())
-        pos += 1
-        if current() != "^":
-            return 1
-        pos += 1
-        digits = ""
-        if current() in ("+", "-"):
-            digits += current()
-            pos += 1
-        if not "0" <= (current() or "") <= "9":
-            raise PolySyntaxError("expected an integer exponent", where())
-        while "0" <= (current() or "") <= "9":
-            digits += current()
-            pos += 1
-        return int(digits)
-
-    if current() == "0":
-        pos += 1
-        if pos != len(stripped):
-            raise PolySyntaxError("unexpected input after '0'", where())
+    if stripped[0] == "0":
+        if len(stripped) > 1:
+            raise PolySyntaxError("unexpected input after '0'", kept[1])
         return LaurentPoly.zero()
-
-    exponents.append(parse_term())
-    while pos < len(stripped):
-        if current() != "+":
-            raise PolySyntaxError(f"expected '+', found {current()!r}", where())
+    exponents = []
+    pos = 0
+    while True:
+        term = _TERM.match(stripped, pos)
+        if term is None:
+            raise PolySyntaxError(f"expected a term, found {stripped[pos:pos + 1] or None!r}", kept[pos])
+        one, caret, sign, digits = term.groups()
+        pos = term.end()
+        if caret and not digits:
+            raise PolySyntaxError("expected an integer exponent", kept[pos])
+        exponents.append(0 if one else int(sign + digits) if caret else 1)
+        if pos == len(stripped):
+            return LaurentPoly.from_exponents(exponents)
+        if stripped[pos] != "+":
+            raise PolySyntaxError(f"expected '+', found {stripped[pos]!r}", kept[pos])
         pos += 1
-        exponents.append(parse_term())
-    return LaurentPoly.from_exponents(exponents)

@@ -11,30 +11,31 @@ bookkeeping lives in :mod:`cqcalab.finite_chain`.
 from __future__ import annotations
 
 import dataclasses
+import re
 
 from .laurent import LaurentPoly, coefficient_dot
 
-_LETTER_BITS = {"1": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-# The letter of each site code x | z << 1.
-_CODE_LETTER = {x | z << 1: letter for letter, (x, z) in _LETTER_BITS.items()}
-_CODE_TO_LETTER = bytes.maketrans(
-    bytes(_CODE_LETTER), "".join(_CODE_LETTER.values()).encode("ascii")
-)
-_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# The letter of each site code x | z << 1; every letter table is read off it.
+_SITE_LETTERS = "1XZY"
+# Letter -> the ASCII digit of its x (z) bit, the bit 0 (1) of its code.
+_X_DIGIT, _Z_DIGIT = (str.maketrans(_SITE_LETTERS, bits) for bits in ("0101", "0011"))
+# Byte 144 + code -> the letter of the code; see site_letters.
+_CODE_BYTE_LETTER = bytes.maketrans(bytes(range(144, 148)), _SITE_LETTERS.encode("ascii"))
+_INT = re.compile("[+-]?[0-9]+")
 
 
 def site_letters(x_mask: int, z_mask: int, width: int) -> str:
     """Letters of sites 0..width-1, site 0 first; bit k of each mask is site k.
 
-    Both masks must fit in ``width`` bits.  Each mask becomes one byte per
-    site and the two are combined as one int, so a whole row costs a few
-    byte operations instead of one table lookup per site.
+    Both masks must fit in ``width`` bits.  Each mask's binary digits are
+    read as one big-endian int, one byte 48 + bit a site, so byte k of
+    x + 2z is 144 + the code of site k, with no carries: a whole row costs
+    a few byte operations instead of one table lookup per site.
     """
-    digits = (format(mask, f"0{width}b").encode("ascii") for mask in (x_mask, z_mask))
-    x, z = (int.from_bytes(d.translate(_DIGIT_TO_BIT), "big") for d in digits)
-    # format puts site width-1 first, so the combined bytes are reversed.
-    codes = (x | z << 1).to_bytes(width, "big")[::-1]
-    return codes.translate(_CODE_TO_LETTER).decode("ascii")
+    if not width:
+        return ""  # format(0, "00b") is "0", one digit too many
+    x, z = (int.from_bytes(format(mask, f"0{width}b").encode("ascii"), "big") for mask in (x_mask, z_mask))
+    return (x + 2 * z).to_bytes(width, "little").translate(_CODE_BYTE_LETTER).decode("ascii")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,9 +62,7 @@ class PhaseVector:
 
     def letter_at(self, site: int) -> str:
         """The letter on one site; the per-cell reference for :meth:`letters`."""
-        return _CODE_LETTER[
-            self.xi_plus.coefficient(site) | self.xi_minus.coefficient(site) << 1
-        ]
+        return _SITE_LETTERS[self.xi_plus.coefficient(site) | self.xi_minus.coefficient(site) << 1]
 
     def letters(self, lo: int, hi: int) -> str:
         """The letters on sites lo..hi (inclusive ends), lo first."""
@@ -94,20 +93,12 @@ def pauli_to_phase_space(letters: str, offset: int = 0) -> PhaseVector:
     """Encode a letter string over {1, X, Y, Z}; the first letter sits at ``offset``."""
     if not letters:
         raise ValueError("empty Pauli string")
-    plus_exps = []
-    minus_exps = []
-    for k, letter in enumerate(letters):
-        try:
-            x_bit, z_bit = _LETTER_BITS[letter]
-        except KeyError:
-            raise ValueError(f"illegal Pauli letter {letter!r} at index {k}") from None
-        if x_bit:
-            plus_exps.append(offset + k)
-        if z_bit:
-            minus_exps.append(offset + k)
-    return PhaseVector(
-        LaurentPoly.from_exponents(plus_exps), LaurentPoly.from_exponents(minus_exps)
-    )
+    illegal = letters.lstrip(_SITE_LETTERS)
+    if illegal:
+        raise ValueError(f"illegal Pauli letter {illegal[0]!r} at index {len(letters) - len(illegal)}")
+    word = letters[::-1]  # the first letter is bit 0 of each component
+    x, z = int(word.translate(_X_DIGIT), 2), int(word.translate(_Z_DIGIT), 2)
+    return PhaseVector(LaurentPoly(x, offset), LaurentPoly(z, offset))
 
 
 def phase_space_to_pauli(v: PhaseVector) -> tuple[str, int]:
@@ -128,7 +119,7 @@ def symplectic_form(a: PhaseVector, b: PhaseVector) -> int:
 
 def parse_int(text: str) -> int:
     """int(text) for an optional sign then ASCII digits only: no other digits, '_' or spaces."""
-    if not (text.isascii() and text.lstrip("+-").isdigit()):
+    if not _INT.fullmatch(text):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
 

@@ -46,6 +46,27 @@ def P(text: str) -> LaurentPoly:
     return parse_poly(text)
 
 
+# Every parse_poly error: the message and the position in the original text.
+SYNTAX_ERRORS = {
+    "": ("empty polynomial", 0),
+    "   ": ("empty polynomial", 0),
+    "0 + u": ("unexpected input after '0'", 2),
+    "0 + 1": ("unexpected input after '0'", 2),
+    "u +": ("expected a term, found None", 3),
+    "1 + ": ("expected a term, found None", 4),
+    "u + 0": ("expected a term, found '0'", 4),
+    "+u": ("expected a term, found '+'", 0),
+    "v": ("expected a term, found 'v'", 0),
+    "u^": ("expected an integer exponent", 2),
+    "u^-": ("expected an integer exponent", 3),
+    "u^+-3": ("expected an integer exponent", 3),
+    "u^x": ("expected an integer exponent", 2),
+    "1u": ("expected '+', found 'u'", 1),
+    "u 1": ("expected '+', found '1'", 2),
+    "1 1": ("expected '+', found '1'", 2),
+}
+
+
 class TestParseRender:
     def test_glider_trace(self):
         assert to_terms(P("u^-1 + u")) == {-1, 1}
@@ -59,15 +80,19 @@ class TestParseRender:
 
     def test_whitespace_ignored(self):
         assert P(" u^-2+1 +u ") == LaurentPoly.from_exponents([-2, 0, 1])
+        # even inside an exponent
+        assert P("u^1 2") == LaurentPoly(1, 12)
+        assert P("u ^ - 3") == LaurentPoly(1, -3)
 
     def test_signed_exponent_with_plus(self):
         assert P("u^+3") == LaurentPoly(1, 3)
 
-    @pytest.mark.parametrize("bad", ["", "u^", "1 + ", "v", "u^x", "0 + 1", "1 1"])
+    @pytest.mark.parametrize("bad", list(SYNTAX_ERRORS))
     def test_syntax_errors_carry_position(self, bad):
+        message, position = SYNTAX_ERRORS[bad]
         with pytest.raises(PolySyntaxError) as err:
             P(bad)
-        assert err.value.position >= 0
+        assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
 
     @pytest.mark.parametrize("bad, position", [("u^\u00b2", 2), ("1 + u^\u0663", 6), ("u^-\u00b2", 3)])
     def test_exponent_takes_only_ascii_digits(self, bad, position):

@@ -5,9 +5,11 @@ from cqcalab.laurent import LaurentPoly, parse_poly
 from cqcalab.phase_space import (
     PhaseVector,
     format_observable,
+    parse_int,
     parse_observable,
     pauli_to_phase_space,
     phase_space_to_pauli,
+    site_letters,
     symplectic_form,
 )
 
@@ -42,6 +44,27 @@ class TestEncoding:
     def test_illegal_letter(self):
         with pytest.raises(ValueError):
             pauli_to_phase_space("XQZ", 0)
+
+    @pytest.mark.parametrize(
+        "word, letter, index",
+        [("XqZ", "q", 1), ("X Z", " ", 1), ("X\u0661", "\u0661", 1), ("x", "x", 0), ("XYZ1Yx", "x", 5)],
+    )
+    def test_first_illegal_letter_and_its_index(self, word, letter, index):
+        with pytest.raises(ValueError) as err:
+            pauli_to_phase_space(word, 3)
+        assert str(err.value) == f"illegal Pauli letter {letter!r} at index {index}"
+
+    def test_empty_word(self):
+        with pytest.raises(ValueError) as err:
+            pauli_to_phase_space("", 0)
+        assert str(err.value) == "empty Pauli string"
+
+    @given(hst.text(alphabet="1XYZ", min_size=1, max_size=200), hst.integers(min_value=-100, max_value=100))
+    def test_against_term_sets(self, word, offset):
+        sites = [(offset + k, letter) for k, letter in enumerate(word)]
+        v = pauli_to_phase_space(word, offset)
+        assert v.xi_plus == from_terms(s for s, letter in sites if letter in "XY")
+        assert v.xi_minus == from_terms(s for s, letter in sites if letter in "ZY")
 
     def test_decode_glider_image(self):
         assert phase_space_to_pauli(PhaseVector(P("1"), P("u^-1 + u"))) == ("ZXZ", -1)
@@ -131,6 +154,12 @@ class TestLiteralFormat:
         with pytest.raises(ValueError):
             parse_observable("ZXZ@q")
 
+    @pytest.mark.parametrize("text", ["+-3", "-+3", "--3", "++3"])
+    def test_parse_int_takes_one_optional_sign(self, text):
+        with pytest.raises(ValueError) as err:
+            parse_int(text)
+        assert str(err.value) == f"invalid integer {text!r}"
+
     @pytest.mark.parametrize("offset", ["\u0663", "\uff13", "1_0", " 3", "--3", "+", ""])
     def test_offset_is_an_optional_sign_and_ascii_digits(self, offset):
         with pytest.raises(ValueError, match="bad observable offset"):
@@ -148,6 +177,14 @@ class TestLetters:
     def test_against_letter_at(self, v, lo, width):
         hi = lo + width - 1
         assert v.letters(lo, hi) == "".join(v.letter_at(s) for s in range(lo, hi + 1))
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 1024])
+    @given(data=hst.data())
+    def test_site_letters_at_byte_and_word_edges(self, width, data):
+        masks = hst.integers(min_value=0, max_value=(1 << width) - 1)
+        x, z = data.draw(masks), data.draw(masks)
+        v = PhaseVector(LaurentPoly(x), LaurentPoly(z))
+        assert site_letters(x, z, width) == "".join(v.letter_at(s) for s in range(width))
 
     def test_windows_cutting_the_support(self):
         v = pauli_to_phase_space("ZYX1Z", -3)  # sites -3..1
