@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from itertools import islice
+from typing import Iterable
 
 from . import automaton, finite_chain, render, stabilizer
 from .automaton import CqcaMatrix, CqcaValidationError, ValidatedCqca
@@ -72,13 +74,13 @@ def _region_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _write_output(data: bytes, path: str | None) -> None:
+def _write_output(chunks: Iterable[bytes], path: str | None) -> None:
     if path is None:
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -107,7 +109,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_diagram(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
     data = render.emit(render.build_diagram(t, parse_observable(args.obs), args.steps), args.format)
-    _write_output(data, args.output)
+    _write_output([data], args.output)
     return 0
 
 
@@ -115,7 +117,10 @@ def _cmd_entangle(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
     state = stabilizer.validate_state(parse_observable(args.state))
     points = stabilizer.entanglement_trajectory(t, state, args.steps, args.region)
-    _write_output(stabilizer.trajectory_csv(points).encode("ascii"), args.output)
+    # In blocks of 4096 rows, so memory stays flat in --steps; each block's CSV repeats the header.
+    blocks = (stabilizer.trajectory_csv(islice(points, 4096)) for _ in range(0, args.steps + 1, 4096))
+    csv = (block if i == 0 else block.partition("\n")[2] for i, block in enumerate(blocks))
+    _write_output((text.encode("ascii") for text in csv), args.output)
     return 0
 
 

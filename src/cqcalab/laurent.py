@@ -254,7 +254,10 @@ def parse_poly(text: str) -> LaurentPoly:
         pos = term.end()
         if caret and not digits:
             raise PolySyntaxError("expected an integer exponent", kept[pos])
-        exponents.append(0 if one else int(sign + digits) if caret else 1)
+        try:
+            exponents.append(0 if one else int(sign + digits) if caret else 1)
+        except ValueError:  # int()'s digit limit; the pattern admits only ASCII digits
+            raise PolySyntaxError("exponent has too many digits", kept[term.start(4)]) from None
         if pos == len(stripped):
             return LaurentPoly.from_exponents(exponents)
         if stripped[pos] != "+":

@@ -7,16 +7,17 @@ generator length 2n + 1, closed forms give the entanglement directly: n
 ebits across any bipartite cut, min(2n, L) ebits between a region of L
 sites and the rest of the chain.
 
-Evolution validates its input seed once (a validated automaton keeps every
-later seed valid, see ``evolve``) and steps by the recurrence of ``ValidatedCqca.orbit``,
-xi_(t+1) = tr * xi_t + xi_(t-1); the rate jumps to steps t/2 and t by ``power``.
+Evolution validates its input seed once (later seeds stay valid, see ``evolve``) and steps
+by ``ValidatedCqca.orbit``, xi_(t+1) = tr * xi_t + xi_(t-1).  Trajectories read n off it only
+until n grows by d = dg tr, then count n(t) = n(t0) + (t - t0) d (the rate theorem).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import cycle, islice
+from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly, gcd
@@ -120,34 +121,45 @@ class TrajectoryPoint(NamedTuple):
     e_tripartite: int | None
 
 
-def entanglement_trajectory(
-    t: ValidatedCqca,
-    s: TIStabilizerState,
-    steps: int,
-    region_length: int | None = None,
-) -> list[TrajectoryPoint]:
-    """Per-step entanglement record along the evolution of ``s`` under ``t``.
+def _half_lengths(t: ValidatedCqca, xi: PhaseVector, steps: int) -> Iterator[int]:
+    """n_0 .. n_steps, the highest site of each frame of ``t.orbit(xi, steps)``.
 
-    ``s`` must be valid; n is read off each orbit frame and no state is kept.
+    F2[u, 1/u] is an integral domain and a centred trace has top degree d, so dg(tr xi)
+    = d + dg xi for xi != 0.  By xi_(k+1) = tr xi_k + xi_(k-1), n_(k-1) < n_k + d gives
+    n_(k+1) = n_k + d, and for d > 0 the condition recurs.  Until then n drops by d or more
+    a step, and a valid seed has n >= 0, so at most n_0 // d + 2 frames are drawn.  For
+    d = 0, T**2 = I (tr = 0) or T**3 = I (tr = 1), so one period of 2 or 3 frames is drawn.
     """
+    d, ns = t.trace_degree(), []
+    for x, z, base in t.orbit(xi, steps if d else min(steps, 2 if t.trace() else 1)):
+        n = base + (x | z).bit_length() - 1
+        if d and ns and ns[-1] < n + d:
+            yield from range(n, n + d * (steps - len(ns)) + 1, d)
+            return
+        ns.append(n)
+        yield n
+    yield from islice(cycle(ns), steps + 1 - len(ns))  # d = 0: one period was walked
+
+
+def entanglement_trajectory(
+    t: ValidatedCqca, s: TIStabilizerState, steps: int, region_length: int | None = None
+) -> Iterator[TrajectoryPoint]:
+    """Per-step entanglement of a valid ``s`` under ``t``: n ebits across any bipartite cut.
+
+    The arguments are checked at the call; the points are yielded lazily.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     if region_length is not None and region_length < 1:
         raise ValueError("region length must be positive")
-    points = []
-    for k, (x, z, base) in enumerate(t.orbit(s.xi, steps)):
-        n = base + (x | z).bit_length() - 1  # a valid seed's highest site
-        e_tri = None if region_length is None else min(2 * n, region_length)
-        # Across any bipartite cut the state holds exactly n ebits.
-        points.append(TrajectoryPoint(k, n, n, e_tri))
-    return points
+    points = enumerate(_half_lengths(t, s.xi, steps))
+    return (TrajectoryPoint(k, n, n, region_length and min(2 * n, region_length)) for k, n in points)
 
 
-def trajectory_csv(points: list[TrajectoryPoint]) -> str:
+def trajectory_csv(points: Iterable[TrajectoryPoint]) -> str:
     """Render a trajectory as "t,n,E_bi,E_tri" CSV; E_tri empty when absent."""
-    lines = ["t,n,E_bi,E_tri"]
-    for p in points:
-        tri = "" if p.e_tripartite is None else str(p.e_tripartite)
-        lines.append(f"{p.step},{p.n},{p.e_bipartite},{tri}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{k},{n},{e_bi},{'' if e_tri is None else e_tri}\n" for k, n, e_bi, e_tri in points)
+    return "t,n,E_bi,E_tri\n" + "".join(rows)
 
 
 MIN_RATE_STEPS = 16
@@ -160,14 +172,14 @@ def asymptotic_rate(
 
     Predicted is the trace degree.  The empirical slope is taken over the
     second half of the run only, since the early steps may transiently
-    destroy entanglement before linear growth sets in.  Both ends are
-    jumps T**k xi from the seed, so memory stays linear in steps.
+    destroy entanglement before linear growth sets in.  Both ends come from
+    one ``_half_lengths`` stream, so memory does not grow with steps.
     """
     if steps < MIN_RATE_STEPS:
         raise ValueError(f"need at least {MIN_RATE_STEPS} steps for a meaningful slope")
     validate_state(s.xi)
     half = steps // 2
-    n_half, n_end = (t.power(k).apply(s.xi).support()[1] for k in (half, steps))
+    n_half, n_end = islice(_half_lengths(t, s.xi, steps), half, None, steps - half)
     return t.trace_degree(), Fraction(n_end - n_half, steps - half)
 
 

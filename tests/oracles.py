@@ -8,7 +8,8 @@ prefix_ranks checks the ring oracle's row elimination by an independent
 column-rank pass.  reference_rank is a pivot-list elimination, and
 generator_entropy over ring_translates is the ring oracle from the full
 generator matrix.  diagram_per_cell writes a space-time diagram one cell
-at a time from term sets stepped by matvec_terms.
+at a time from term sets stepped by matvec_terms.  orbit_half_lengths reads
+n off every orbit frame, the walk that the trajectory's closed form replaces.
 """
 
 import functools
@@ -247,3 +248,8 @@ def prefix_ranks(seed, n_sites, sites):
     if ranks[-1] != n_sites:
         raise NotPure(n_sites - ranks[-1])
     return ranks
+
+
+def orbit_half_lengths(t, xi, steps):
+    """n_0 .. n_steps, each the highest site of one frame of ``t.orbit(xi, steps)``."""
+    return [base + (x | z).bit_length() - 1 for x, z, base in t.orbit(xi, steps)]

@@ -119,7 +119,7 @@ def test_criterion_5_entanglement_destruction_then_growth():
     assert seed.xi == parse_observable("YXY@-1")
 
     t = b.inverse()
-    points = entanglement_trajectory(t, seed, 3)
+    points = list(entanglement_trajectory(t, seed, 3))
     assert min(p.e_bipartite for p in points[:3]) < points[0].e_bipartite
     predicted, empirical = asymptotic_rate(t, seed, 256)
     assert predicted == t.trace_degree() == 1

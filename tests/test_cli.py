@@ -1,13 +1,16 @@
 import contextlib
 import hashlib
 import io
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from cqcalab import cli
+from cqcalab.automaton import fractal
 from cqcalab.cli import main
+from cqcalab.phase_space import parse_observable
 
 
 def run(capsys, *argv):
@@ -231,7 +234,7 @@ class TestRate:
         assert out == "predicted=1 empirical=1\n"
 
     def test_hundred_thousand_steps(self, capsys):
-        # Two jumps by the closed-form power; evolving every state would hold O(t^2) bits.
+        # n is counted by the closed form after the transient; evolving every state would hold O(t^2) bits.
         code, out, _ = run(capsys, "rate", "fractal", "--steps", "100000")
         assert code == 0
         assert out == "predicted=1 empirical=1\n"
@@ -239,6 +242,35 @@ class TestRate:
     def test_short_horizon_is_usage_error(self, capsys):
         err = usage_exit(capsys, "rate", "fractal", "--steps", "10")
         assert "--steps: must be at least 16" in err
+
+
+class TestRateTheoremAtScale:
+    """n(t) = n(t0) + (t - t0) d at t = 10**6, end to end: counted, not walked, and streamed."""
+
+    def test_rate(self, capsys):
+        assert run(capsys, "rate", "fractal", "--steps", "1000000") == (0, "predicted=1 empirical=1\n", "")
+
+    def test_entangle_csv(self, capsys, tmp_path):
+        path = tmp_path / "traj.csv"
+        tracemalloc.start()
+        try:
+            code = main(["entangle", "fractal", "--steps", "1000000", "--region", "64", "-o", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (0, "", "")
+        assert peak < 4 << 20
+        t, xi = fractal(), parse_observable("Z")
+        # Rows on both sides of the CLI's 4096-row block edges, and the last one.
+        samples = (0, 1, 2, 100, 4095, 4096, 8192, 500001, 10**6)
+        sampled = {k: t.power(k).apply(xi).support()[1] for k in samples}
+        with path.open() as handle:
+            assert next(handle) == "t,n,E_bi,E_tri\n"
+            for k, line in enumerate(handle):
+                if k in sampled:
+                    n = sampled[k]
+                    assert line == f"{k},{n},{n},{min(2 * n, 64)}\n"
+        assert (k, line) == (10**6, "1000000,999999,999999,64\n")
 
 
 class TestFinite:
@@ -457,6 +489,13 @@ class TestGrammarInputs:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert peak < 1 << 20
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() has no digit limit")
+    def test_too_long_exponent_is_a_syntax_error(self, capsys):
+        entry = "u^" + "1" * (sys.get_int_max_str_digits() + 1)
+        assert run(capsys, "validate", "--t11", entry, "--t12", "1", "--t21", "1", "--t22", "0") == (
+            1, "", "PolySyntaxError: exponent has too many digits (at position 2)\n"
+        )
 
     @given(hst.lists(hst.one_of(POLYS, hst.just(OVERFLOW_POLY)), min_size=4, max_size=4),
            hst.sampled_from([["validate"], ["classify", "--cap", "8"]]))

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as hst
@@ -100,6 +101,14 @@ class TestParseRender:
         with pytest.raises(PolySyntaxError, match="expected an integer exponent") as err:
             P(bad)
         assert err.value.position == position
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() has no digit limit")
+    def test_too_long_exponent_is_a_syntax_error(self):
+        # One digit past int()'s limit: a PolySyntaxError at the first digit, not int()'s ValueError.
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(PolySyntaxError) as err:
+            P(f"1 + u ^ -{digits}")
+        assert (str(err.value), err.value.position) == ("exponent has too many digits (at position 9)", 9)
 
     def test_render_style(self):
         assert render_poly(P("u + u^-1 + 1")) == "u^-1 + 1 + u"

@@ -5,9 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from cqcalab.automaton import glider, fractal, identity, random_cqca, validate, CqcaMatrix
+from cqcalab.automaton import (
+    CqcaMatrix,
+    ValidatedCqca,
+    fractal,
+    glider,
+    identity,
+    random_cqca,
+    swap,
+    validate,
+)
 from cqcalab.phase_space import parse_observable, symplectic_form
 from cqcalab.stabilizer import (
+    MIN_RATE_STEPS,
     CenterIdentity,
     CommonDivisor,
     NotReflectionSymmetric,
@@ -23,7 +33,7 @@ from cqcalab.stabilizer import (
     validate_state,
 )
 
-from oracles import matvec_terms, matrix_terms, to_terms
+from oracles import matvec_terms, matrix_terms, orbit_half_lengths, to_terms
 
 
 def S(text):
@@ -164,7 +174,7 @@ class TestTrajectory:
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            points = entanglement_trajectory(t, s, 8192, 64)
+            points = list(entanglement_trajectory(t, s, 8192, 64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -174,6 +184,87 @@ class TestTrajectory:
         for k in (0, 1, 2, 3, 100, 1023, 4096, 6001, 8192):
             n = t.power(k).apply(s.xi).support()[1]
             assert points[k] == (k, n, n, min(2 * n, 64))
+
+
+# Word lengths 0-7 draw constant traces (d = 0) as well as growing ones (d >= 1).
+closed_form_automata = hst.one_of(
+    hst.builds(
+        random_cqca,
+        seed=hst.integers(min_value=0, max_value=10**9),
+        word_length=hst.integers(min_value=0, max_value=7),
+        max_shear_degree=hst.integers(min_value=1, max_value=2),
+    ),
+    hst.sampled_from([identity(), swap(), PERIOD3, glider(), fractal()]),
+)
+trajectory_steps = hst.integers(min_value=0, max_value=300)
+regions = hst.one_of(hst.none(), hst.integers(min_value=1, max_value=100))
+
+
+def backward_seed(t, k):
+    """T**-k YXY@-1: its n shrinks for about k steps of t before it grows."""
+    return validate_state(t.inverse().power(k).apply(parse_observable("YXY@-1")))
+
+
+class TestClosedFormTrajectory:
+    """The closed form against n read off every orbit frame, and its transient bound."""
+
+    @staticmethod
+    def check(t, seed, steps, region):
+        ns = orbit_half_lengths(t, seed.xi, steps)
+        expected = [(k, n, n, None if region is None else min(2 * n, region)) for k, n in enumerate(ns)]
+        assert list(entanglement_trajectory(t, seed, steps, region)) == expected
+        if steps >= MIN_RATE_STEPS:
+            slope = Fraction(ns[steps] - ns[steps // 2], steps - steps // 2)
+            assert asymptotic_rate(t, seed, steps) == (t.trace_degree(), slope)
+
+    @given(closed_form_automata, hst.sampled_from(["Z@0", "X@0", "XZX@-1", "YXY@-1", "YXXXXXY@-3"]),
+           hst.integers(min_value=0, max_value=4), trajectory_steps, regions)
+    @settings(max_examples=200, deadline=None)
+    def test_evolved_seeds_match_the_per_frame_walk(self, t, literal, prep, steps, region):
+        self.check(t, evolve(S(literal), t, prep)[-1], steps, region)
+
+    @given(closed_form_automata, hst.integers(min_value=1, max_value=180), trajectory_steps, regions)
+    @settings(max_examples=200, deadline=None)
+    def test_backward_built_seeds_match_the_per_frame_walk(self, t, k, steps, region):
+        self.check(t, backward_seed(t, k), steps, region)
+
+    @staticmethod
+    def frames_drawn(run):
+        """How many orbit frames ``run()`` draws."""
+        orbit, drawn = ValidatedCqca.orbit, 0
+
+        def counting(self, v, steps):
+            nonlocal drawn
+            for frame in orbit(self, v, steps):
+                drawn += 1
+                yield frame
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ValidatedCqca, "orbit", counting)
+            run()
+        return drawn
+
+    @given(closed_form_automata, hst.integers(min_value=0, max_value=180), trajectory_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_walk_stops_after_the_transient(self, t, k, steps):
+        seed, d = backward_seed(t, k), t.trace_degree()
+        bound = min(steps + 1, seed.n // d + 2 if d else 3 if t.trace() else 2)
+        assert self.frames_drawn(lambda: list(entanglement_trajectory(t, seed, steps))) <= bound
+        if steps >= MIN_RATE_STEPS:
+            assert self.frames_drawn(lambda: asymptotic_rate(t, seed, steps)) <= bound
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 17, 180])
+    def test_bound_is_tight_for_glider_seeds(self, m):
+        # T**-m Z has n = m - 1 (m > 0) and loses one ebit a step down to n = 0, which it holds
+        # for one more step: frames 0 .. n_0 + 1 are drawn, n_0 // d + 2 with d = 1.
+        t = glider()
+        seed = validate_state(t.inverse().power(m).apply(all_spins_up().xi))
+        assert seed.n == max(m - 1, 0)
+        assert self.frames_drawn(lambda: list(entanglement_trajectory(t, seed, m + 5))) == seed.n // 1 + 2
+
+    def test_arguments_are_checked_at_the_call(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            entanglement_trajectory(glider(), all_spins_up(), -1)
 
 
 class TestAsymptoticRate:
