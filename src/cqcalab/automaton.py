@@ -14,7 +14,7 @@ import dataclasses
 import random as _random
 from typing import Iterator
 
-from .laurent import LaurentPoly, gcd, parse_poly, render_poly
+from .laurent import LaurentPoly, PolySyntaxError, gcd, parse_poly, render_poly
 from .phase_space import PhaseVector
 
 
@@ -80,7 +80,7 @@ class CqcaMatrix:
 
     @classmethod
     def from_strings(cls, t11: str, t12: str, t21: str, t22: str) -> "CqcaMatrix":
-        return cls(parse_poly(t11), parse_poly(t12), parse_poly(t21), parse_poly(t22))
+        return cls(*map(_parse_entry, _KEYS, (t11, t12, t21, t22)))
 
     def det(self) -> LaurentPoly:
         return self.t11 * self.t22 + self.t12 * self.t21
@@ -141,33 +141,35 @@ class ValidatedCqca:
             m.t21 * v.xi_plus + m.t22 * v.xi_minus,
         )
 
-    def orbit(self, v: PhaseVector, steps: int) -> Iterator[tuple[int, int, int]]:
-        """Frames (x, z, base) of v, T v, ..., T**steps v; bit k of x and z is site base + k.
+    def orbit(self, v: PhaseVector, steps: int) -> Iterator[tuple[int, int]]:
+        """Frames (c, base) of v, T v, ..., T**steps v, as in :meth:`PhaseVector.frame`.
 
-        T**2 = tr*T + I gives T**(t+1) v = tr * T**t v + T**(t-1) v; a centred trace
-        is symmetric about 0, so frame t + 1 sits d = dg tr sites left of frame t,
+        T**2 = tr*T + I gives T**(t+1) v = tr * T**t v + T**(t-1) v, one scalar tr on
+        both components.  The interleave c = x(u**2) + u z(u**2) is additive, and
+        (tr x)(u**2) = tr(u**2) x(u**2) since p(u)**2 = p(u**2) is a ring map, so on c
+        the step is c_(t+1) = tr(u**2) c_t + c_(t-1): every shift doubled.  A centred
+        trace is symmetric about 0, so frame t + 1 sits d = dg tr sites left of frame t,
         one shift and XOR per term away.  Frames are not normalised.
         """
         if steps < 0:
             raise ValueError("steps must be nonnegative")
-        tr, d, low = self.trace(), self.trace_degree(), (1 << 64) - 1
-        shifts = [e + d for e in tr.exponents()]
-        back = self.apply(v) + PhaseVector(tr * v.xi_plus, tr * v.xi_minus)  # T**-1 = T + tr*I
-        # Frame -1 sits at base + d; the entries' radius may exceed d.
-        parts = ((v.xi_plus, 0), (v.xi_minus, 0), (back.xi_plus, d), (back.xi_minus, d))
-        base = min((p.min_exp - shift for p, shift in parts if p), default=0)
-        x, z, px, pz = (p.mask << (p.min_exp - shift - base) if p else 0 for p, shift in parts)
+        tr, d, low = self.trace(), self.trace_degree(), (1 << 128) - 1
+        shifts = [2 * (e + d) for e in tr.exponents()]
+        c, base = v.frame()
+        pc, pbase = (self.apply(v) + PhaseVector(tr * v.xi_plus, tr * v.xi_minus)).frame()  # T**-1 = T + tr*I
+        # Frame -1 sits at base + d; the entries' radius may exceed d.  v = 0 iff T**-1 v = 0.
+        start = min(base, pbase - d)
+        c, pc, base = c << 2 * (base - start), pc << 2 * (pbase - d - start), start
         for _ in range(steps):
-            yield x, z, base
-            nx, nz = px << 2 * d, pz << 2 * d
+            yield c, base
+            nc = pc << 4 * d
             for s in shifts:
-                nx ^= x << s
-                nz ^= z << s
-            px, pz, x, z, base = x, z, nx, nz, base - d
-            # Drop the zeros a right-drifting orbit leaves below both frames, or steps grow with t.
-            if not (x & low or z & low or px & low or pz & low):
-                px, pz, x, z, base = px >> 64, pz >> 64, x >> 64, z >> 64, base + 64
-        yield x, z, base
+                nc ^= c << s
+            pc, c, base = c, nc, base - d
+            # Drop the zeros a right-drifting orbit leaves below both frames (64 sites), or steps grow with t.
+            if not (c & low or pc & low):
+                pc, c, base = pc >> 128, c >> 128, base + 64
+        yield c, base
 
     def trace(self) -> LaurentPoly:
         return self.matrix.trace()
@@ -271,56 +273,31 @@ def period(t: ValidatedCqca, cap: int) -> int | None:
 
 def glider() -> ValidatedCqca:
     """The standard glider automaton: X -> Z, Z -> Z x X x Z."""
-    return validate(
-        CqcaMatrix(
-            LaurentPoly.zero(),
-            LaurentPoly.one(),
-            LaurentPoly.one(),
-            LaurentPoly.from_exponents([-1, 1]),
-        )
-    )
+    return validate(CqcaMatrix.from_strings("0", "1", "1", "u^-1 + u"))
 
 
 def fractal() -> ValidatedCqca:
     """The standard fractal automaton with trace u^-1 + 1 + u."""
-    return validate(
-        CqcaMatrix(
-            LaurentPoly.from_exponents([-1, 0, 1]),
-            LaurentPoly.one(),
-            LaurentPoly.one(),
-            LaurentPoly.zero(),
-        )
-    )
+    return validate(CqcaMatrix.from_strings("u^-1 + 1 + u", "1", "1", "0"))
 
 
 def identity() -> ValidatedCqca:
-    ident = CqcaMatrix(
-        LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly.one()
-    )
-    return ValidatedCqca(ident, Periodic())
+    return ValidatedCqca(CqcaMatrix.from_strings("1", "0", "0", "1"), Periodic())
 
 
 def swap() -> ValidatedCqca:
     """Exchange X and Z everywhere (the Hadamard automaton)."""
-    return validate(
-        CqcaMatrix(
-            LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.one(), LaurentPoly.zero()
-        )
-    )
+    return validate(CqcaMatrix.from_strings("0", "1", "1", "0"))
 
 
 def shear(p: LaurentPoly) -> ValidatedCqca:
     """Lower shear [[1, 0], [p, 1]]; p must be mirror-symmetric about 0."""
-    return validate(
-        CqcaMatrix(LaurentPoly.one(), LaurentPoly.zero(), p, LaurentPoly.one())
-    )
+    return validate(CqcaMatrix(LaurentPoly.one(), LaurentPoly.zero(), p, LaurentPoly.one()))
 
 
 def upper_shear(p: LaurentPoly) -> ValidatedCqca:
     """Upper shear [[1, p], [0, 1]]; p must be mirror-symmetric about 0."""
-    return validate(
-        CqcaMatrix(LaurentPoly.one(), p, LaurentPoly.zero(), LaurentPoly.one())
-    )
+    return validate(CqcaMatrix(LaurentPoly.one(), p, LaurentPoly.zero(), LaurentPoly.one()))
 
 
 def random_cqca(seed: int, word_length: int, max_shear_degree: int) -> ValidatedCqca:
@@ -358,6 +335,17 @@ def _random_symmetric_poly(rng: _random.Random, max_degree: int) -> LaurentPoly:
 
 # -- matrix files and names -------------------------------------------
 
+_KEYS = ("t11", "t12", "t21", "t22")
+
+
+def _parse_entry(key: str, text: str) -> LaurentPoly:
+    """parse_poly, naming the entry in a PolySyntaxError."""
+    try:
+        return parse_poly(text)
+    except PolySyntaxError as exc:
+        raise PolySyntaxError(f"{key}: {exc.message}", exc.position) from None
+
+
 _BUILTINS = {
     "glider": glider,
     "fractal": fractal,
@@ -374,15 +362,15 @@ def parse_matrix_file(text: str) -> CqcaMatrix:
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition(" ")
-        if key not in ("t11", "t12", "t21", "t22"):
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = parse_poly(value)
-    missing = [k for k in ("t11", "t12", "t21", "t22") if k not in values]
+        values[key] = _parse_entry(key, value)
+    missing = [k for k in _KEYS if k not in values]
     if missing:
         raise ValueError(f"missing keys: {', '.join(missing)}")
-    return CqcaMatrix(values["t11"], values["t12"], values["t21"], values["t22"])
+    return CqcaMatrix(*(values[k] for k in _KEYS))
 
 
 def resolve_matrix(source: str) -> ValidatedCqca:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import islice
+from itertools import chain, islice, repeat
 from typing import Iterable
 
 from . import automaton, finite_chain, render, stabilizer
@@ -21,7 +21,7 @@ from .finite_chain import (
     GeneratorsDoNotCommute,
     NotPure,
 )
-from .laurent import LaurentPoly, PolySyntaxError, render_poly
+from .laurent import PolySyntaxError, render_poly
 from .phase_space import PhaseVector, parse_int, parse_observable
 from .stabilizer import StateValidationError
 
@@ -101,8 +101,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    for k, (x, z, base) in enumerate(t.orbit(parse_observable(args.obs), args.steps)):
-        print(f"{k}\t{PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))}")
+    for k, frame in enumerate(t.orbit(parse_observable(args.obs), args.steps)):
+        print(f"{k}\t{PhaseVector.from_frame(*frame)}")
     return 0
 
 
@@ -116,11 +116,15 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 def _cmd_entangle(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
     state = stabilizer.validate_state(parse_observable(args.state))
-    points = stabilizer.entanglement_trajectory(t, state, args.steps, args.region)
-    # In blocks of 4096 rows, so memory stays flat in --steps; each block's CSV repeats the header.
-    blocks = (stabilizer.trajectory_csv(islice(points, 4096)) for _ in range(0, args.steps + 1, 4096))
-    csv = (block if i == 0 else block.partition("\n")[2] for i, block in enumerate(blocks))
-    _write_output((text.encode("ascii") for text in csv), args.output)
+    ns = stabilizer._half_lengths(t, state.xi, args.steps)
+
+    def block(start: int) -> bytes:  # 4096 rows straight from n, so memory stays flat in --steps
+        n = list(islice(ns, 4096))
+        tri = map(min, map((2).__mul__, n), repeat(args.region)) if args.region else repeat("")
+        rows = map("%d,%d,%d,%s\n".__mod__, zip(range(start, start + len(n)), n, n, tri))
+        return "".join(rows).encode("ascii")
+
+    _write_output(chain([b"t,n,E_bi,E_tri\n"], map(block, range(0, args.steps + 1, 4096))), args.output)
     return 0
 
 

@@ -348,16 +348,14 @@ def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
     the interleaved seed row rotated by 2y.  The translates must pairwise
     commute and be independent (pure state): the basis must have N rows.
     """
-    n, full = n_sites, (1 << n_sites) - 1
-    x0, z0 = (_folded(p, n) for p in (seed.xi.xi_plus, seed.xi.xi_minus))
-    lo, hi = seed.xi.support() or (0, 0)
-    for d in range(1, min(hi - lo, n - 1) + 1):
-        if ((x0 & _rotated(z0, d, n, full)) ^ (z0 & _rotated(x0, d, n, full))).bit_count() % 2:
+    n, full = n_sites, (1 << 2 * n_sites) - 1
+    c, base = seed.xi.frame()
+    row = _folded(LaurentPoly(c, 2 * base), 2 * n)  # the seed's frame, exponents mod 2N
+    swapped = (row & full // 3) << 1 | (row >> 1) & full // 3  # X and Z exchanged on every site
+    for d in range(1, min((c.bit_length() - 1) // 2, n - 1) + 1):
+        if (row & _rotated(swapped, 2 * d, 2 * n, full)).bit_count() % 2:
             raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
-    # The Frobenius spread p(u) -> p(u^2) moves site bit s to bit 2s.
-    row = sum(LaurentPoly(m).squared().coefficients(0, 2 * n) << z for z, m in enumerate((x0, z0)))
-    full_2n = (1 << 2 * n) - 1
-    pivots = _echelon(_rotated(row, 2 * y, 2 * n, full_2n) for y in range(n))
+    pivots = _echelon(_rotated(row, 2 * y, 2 * n, full) for y in range(n))
     if len(pivots) != n:
         raise NotPure(n - len(pivots))
     return pivots

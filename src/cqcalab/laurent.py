@@ -37,15 +37,6 @@ _SPREAD_LOW_NIBBLE = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
 _SPREAD_HIGH_NIBBLE = bytes(_SPREAD_NIBBLE[b >> 4] for b in range(256))
 
 
-def spread_bits(raw: bytes) -> bytearray:
-    """p(u) -> p(u**2) on little-endian bits: bit k moves to bit 2k, so each
-    byte becomes two bytes, one per nibble, through a translation table."""
-    spread = bytearray(2 * len(raw))
-    spread[0::2] = raw.translate(_SPREAD_LOW_NIBBLE)
-    spread[1::2] = raw.translate(_SPREAD_HIGH_NIBBLE)
-    return spread
-
-
 def _gcd_bits(a: int, b: int) -> int:
     # a mod b: clear a's top bit with a shifted copy of b until a is shorter.
     while b:
@@ -150,11 +141,16 @@ class LaurentPoly:
         return LaurentPoly(_clmul(self.mask, other.mask), self.min_exp + other.min_exp)
 
     def squared(self) -> "LaurentPoly":
-        """The square, in linear time: over F2, p(u)**2 = p(u**2) (Frobenius)."""
+        """The square, in linear time: over F2, p(u)**2 = p(u**2) (Frobenius).
+
+        Bit k moves to bit 2k, so each mask byte becomes two, one per nibble, by a translation.
+        """
         if self.is_zero:
             return self
         raw = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
-        return LaurentPoly(int.from_bytes(spread_bits(raw), "little"), 2 * self.min_exp)
+        spread = bytearray(2 * len(raw))
+        spread[0::2], spread[1::2] = raw.translate(_SPREAD_LOW_NIBBLE), raw.translate(_SPREAD_HIGH_NIBBLE)
+        return LaurentPoly(int.from_bytes(spread, "little"), 2 * self.min_exp)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit u**k."""
@@ -223,7 +219,7 @@ class PolySyntaxError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 # One term at a time along the whitespace-stripped text: "1", "u" or "u^<int>".

@@ -17,8 +17,8 @@ from .laurent import LaurentPoly, coefficient_dot
 
 # The letter of each site code x | z << 1; every letter table is read off it.
 _SITE_LETTERS = "1XZY"
-# Letter -> the ASCII digit of its x (z) bit, the bit 0 (1) of its code.
-_X_DIGIT, _Z_DIGIT = (str.maketrans(_SITE_LETTERS, bits) for bits in ("0101", "0011"))
+# Letter -> its code as a base-4 digit: a letter string, last letter first, is a frame in base 4.
+_CODE_DIGIT = str.maketrans(_SITE_LETTERS, "0123")
 # Byte 144 + code -> the letter of the code; see site_letters.
 _CODE_BYTE_LETTER = bytes.maketrans(bytes(range(144, 148)), _SITE_LETTERS.encode("ascii"))
 _INT = re.compile("[+-]?[0-9]+")
@@ -52,6 +52,21 @@ class PhaseVector:
     def __add__(self, other: "PhaseVector") -> "PhaseVector":
         """Phase-space image of the operator product (phases dropped)."""
         return PhaseVector(self.xi_plus + other.xi_plus, self.xi_minus + other.xi_minus)
+
+    def frame(self) -> tuple[int, int]:
+        """(c, base): bits 2k and 2k + 1 of c are the x and z bits of site base + k, its code x | z << 1.
+
+        c is the Frobenius interleave x(u**2) + u z(u**2) from the lowest site; the identity is (0, 0).
+        """
+        parts = [(z, p) for z, p in enumerate((self.xi_plus, self.xi_minus)) if p]
+        base = min((p.min_exp for _, p in parts), default=0)
+        return sum(p.squared().mask << 2 * (p.min_exp - base) + z for z, p in parts), base
+
+    @classmethod
+    def from_frame(cls, c: int, base: int) -> "PhaseVector":
+        """The inverse of :meth:`frame`, for any base; c need not start at site base."""
+        digits = format(c, f"0{c.bit_length() + 2 & -2}b")  # z, x digit pairs, top site first
+        return cls(LaurentPoly(int(digits[1::2], 2), base), LaurentPoly(int(digits[::2], 2), base))
 
     def support(self) -> tuple[int, int] | None:
         """(leftmost site, rightmost site) touched, or None for the identity."""
@@ -96,9 +111,7 @@ def pauli_to_phase_space(letters: str, offset: int = 0) -> PhaseVector:
     illegal = letters.lstrip(_SITE_LETTERS)
     if illegal:
         raise ValueError(f"illegal Pauli letter {illegal[0]!r} at index {len(letters) - len(illegal)}")
-    word = letters[::-1]  # the first letter is bit 0 of each component
-    x, z = int(word.translate(_X_DIGIT), 2), int(word.translate(_Z_DIGIT), 2)
-    return PhaseVector(LaurentPoly(x, offset), LaurentPoly(z, offset))
+    return PhaseVector.from_frame(int(letters[::-1].translate(_CODE_DIGIT), 4), offset)
 
 
 def phase_space_to_pauli(v: PhaseVector) -> tuple[str, int]:

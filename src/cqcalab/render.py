@@ -5,9 +5,9 @@ output formats (row 0 first).  The ASCII format uses '.', 'X', 'Y', 'Z';
 the PPM format is binary P6 with one pixel per cell and a fixed palette,
 so identical diagrams always produce identical bytes.
 
-A diagram is one packed buffer, two bits a site: the window-aligned x and
-z rows of all :meth:`ValidatedCqca.orbit` frames, Frobenius-spread and
-combined as x(u**2) + u*z(u**2), so each byte holds 4 sites as x | z << 1.
+A diagram is one packed buffer, two bits a site: each row is a
+:meth:`ValidatedCqca.orbit` frame, the Frobenius interleave x(u**2) + u*z(u**2),
+shifted to the window's left end, so each byte holds 4 sites as x | z << 1.
 ``emit`` fills each output byte position by one whole-buffer translation,
 then one join drops each row's padding.
 """
@@ -18,7 +18,6 @@ import dataclasses
 from typing import Literal
 
 from .automaton import ValidatedCqca
-from .laurent import spread_bits
 from .phase_space import PhaseVector
 
 # The output bytes of one cell, per code x | z << 1 (identity, X, Z, Y); PPM
@@ -66,17 +65,12 @@ def build_diagram(
     if steps < 1:
         raise ValueError("steps must be positive")
     frames = list(t.orbit(initial, steps))
-    spans = [(b + (m & -m).bit_length(), b + m.bit_length()) for x, z, b in frames if (m := x | z)]
+    spans = [(b + ((c & -c).bit_length() + 1) // 2, b + (c.bit_length() + 1) // 2) for c, b in frames if c]
     left = min((lo for lo, _ in spans), default=1) - 2
     right = max((hi for _, hi in spans), default=1)
-    size = (right - left + 8) // 8
-    xs, zs = [], []
-    for x, z, base in frames:
-        s = base - left
-        xs.append((x << s if s >= 0 else x >> -s).to_bytes(size, "little"))
-        zs.append((z << s if s >= 0 else z >> -s).to_bytes(size, "little"))
-    x, z = (int.from_bytes(spread_bits(b"".join(row)), "little") for row in (xs, zs))
-    return SpaceTimeDiagram((x | z << 1).to_bytes(2 * size * len(frames), "little"), (left, right))
+    size = 2 * ((right - left + 8) // 8)
+    rows = (c << 2 * (b - left) if b >= left else c >> 2 * (left - b) for c, b in frames)
+    return SpaceTimeDiagram(b"".join(c.to_bytes(size, "little") for c in rows), (left, right))
 
 
 def _cells(d: SpaceTimeDiagram, symbols: bytes) -> list[memoryview]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ValidatedCqca
@@ -101,10 +101,9 @@ def evolve(
     return [_frame_state(*frame) for frame in t.orbit(s.xi, steps)]
 
 
-def _frame_state(x: int, z: int, base: int) -> TIStabilizerState:
+def _frame_state(c: int, base: int) -> TIStabilizerState:
     """The state of an orbit frame of a valid seed (see ``evolve``); n is its highest site."""
-    xi = PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))
-    return TIStabilizerState(xi, base + (x | z).bit_length() - 1)
+    return TIStabilizerState(PhaseVector.from_frame(c, base), base + (c.bit_length() + 1) // 2 - 1)
 
 
 def tripartite_entanglement(s: TIStabilizerState, region_length: int) -> int:
@@ -121,24 +120,30 @@ class TrajectoryPoint(NamedTuple):
     e_tripartite: int | None
 
 
-def _half_lengths(t: ValidatedCqca, xi: PhaseVector, steps: int) -> Iterator[int]:
-    """n_0 .. n_steps, the highest site of each frame of ``t.orbit(xi, steps)``.
+def _transient(t: ValidatedCqca, xi: PhaseVector, steps: int) -> list[int]:
+    """n_0 .. n_k, the highest sites of frames of ``t.orbit(xi, steps)`` through the transient.
 
     F2[u, 1/u] is an integral domain and a centred trace has top degree d, so dg(tr xi)
     = d + dg xi for xi != 0.  By xi_(k+1) = tr xi_k + xi_(k-1), n_(k-1) < n_k + d gives
-    n_(k+1) = n_k + d, and for d > 0 the condition recurs.  Until then n drops by d or more
-    a step, and a valid seed has n >= 0, so at most n_0 // d + 2 frames are drawn.  For
-    d = 0, T**2 = I (tr = 0) or T**3 = I (tr = 1), so one period of 2 or 3 frames is drawn.
+    n_(k+1) = n_k + d, and for d > 0 the condition recurs: n_j = n_k + (j - k) d for j > k.
+    Until then n drops by d or more a step, and a valid seed has n >= 0, so at most
+    n_0 // d + 2 frames are drawn.  For d = 0, T**2 = I (tr = 0) or T**3 = I (tr = 1), so
+    one period of 2 or 3 frames is drawn, and n_j = n_(j mod period).
     """
     d, ns = t.trace_degree(), []
-    for x, z, base in t.orbit(xi, steps if d else min(steps, 2 if t.trace() else 1)):
-        n = base + (x | z).bit_length() - 1
-        if d and ns and ns[-1] < n + d:
-            yield from range(n, n + d * (steps - len(ns)) + 1, d)
-            return
-        ns.append(n)
-        yield n
-    yield from islice(cycle(ns), steps + 1 - len(ns))  # d = 0: one period was walked
+    for c, base in t.orbit(xi, steps if d else min(steps, 2 if t.trace() else 1)):
+        ns.append(base + (c.bit_length() + 1) // 2 - 1)
+        if d and len(ns) > 1 and ns[-2] < ns[-1] + d:
+            break
+    return ns
+
+
+def _half_lengths(t: ValidatedCqca, xi: PhaseVector, steps: int) -> Iterator[int]:
+    """n_0 .. n_steps: the transient, then counted (see ``_transient``)."""
+    ns, d = _transient(t, xi, steps), t.trace_degree()
+    if not d:
+        return islice(cycle(ns), steps + 1)
+    return chain(ns, range(ns[-1] + d, ns[-1] + (steps + 2 - len(ns)) * d, d))
 
 
 def entanglement_trajectory(
@@ -172,15 +177,16 @@ def asymptotic_rate(
 
     Predicted is the trace degree.  The empirical slope is taken over the
     second half of the run only, since the early steps may transiently
-    destroy entanglement before linear growth sets in.  Both ends come from
-    one ``_half_lengths`` stream, so memory does not grow with steps.
+    destroy entanglement before linear growth sets in.  Both ends are read
+    by position once the transient is walked (see ``_transient``).
     """
     if steps < MIN_RATE_STEPS:
         raise ValueError(f"need at least {MIN_RATE_STEPS} steps for a meaningful slope")
     validate_state(s.xi)
-    half = steps // 2
-    n_half, n_end = islice(_half_lengths(t, s.xi, steps), half, None, steps - half)
-    return t.trace_degree(), Fraction(n_end - n_half, steps - half)
+    ns, d, half = _transient(t, s.xi, steps), t.trace_degree(), steps // 2
+    k = len(ns) - 1
+    n_half, n_end = (ns[min(j, k)] + max(j - k, 0) * d if d else ns[j % len(ns)] for j in (half, steps))
+    return d, Fraction(n_end - n_half, steps - half)
 
 
 def extract_logical_pairs(

@@ -252,4 +252,4 @@ def prefix_ranks(seed, n_sites, sites):
 
 def orbit_half_lengths(t, xi, steps):
     """n_0 .. n_steps, each the highest site of one frame of ``t.orbit(xi, steps)``."""
-    return [base + (x | z).bit_length() - 1 for x, z, base in t.orbit(xi, steps)]
+    return [base + (c.bit_length() + 1) // 2 - 1 for c, base in t.orbit(xi, steps)]

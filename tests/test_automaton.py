@@ -25,7 +25,7 @@ from cqcalab.automaton import (
     upper_shear,
     validate,
 )
-from cqcalab.laurent import LaurentPoly, parse_poly
+from cqcalab.laurent import LaurentPoly, PolySyntaxError, parse_poly
 from cqcalab.phase_space import (
     PhaseVector,
     parse_observable,
@@ -160,10 +160,7 @@ class TestApply:
 
 
 def _orbit_vectors(t, v, steps):
-    return [
-        PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base))
-        for x, z, base in t.orbit(v, steps)
-    ]
+    return [PhaseVector.from_frame(c, base) for c, base in t.orbit(v, steps)]
 
 
 def _apply_loop(t, v, steps):
@@ -217,11 +214,9 @@ class TestOrbit:
         # would gain two zero bits below the support at every step.
         t, v = glider(), parse_observable("XYZ")
         frames = list(t.orbit(v, 1000))
-        assert max((x | z).bit_length() for x, z, _ in frames) < 80
-        x, z, base = frames[-1]
-        assert PhaseVector(LaurentPoly(x, base), LaurentPoly(z, base)) == (
-            parse_observable("XYZ@1000")
-        )
+        sites = [(c.bit_length() + 1) // 2 for c, _ in frames]  # each frame's width in sites
+        assert max(sites) < 80
+        assert PhaseVector.from_frame(*frames[-1]) == parse_observable("XYZ@1000")
 
     def test_negative_steps_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -393,6 +388,14 @@ class TestMatrixSources:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             parse_matrix_file("t11 0\nt12 1\nt21 1\n")
+
+    def test_syntax_errors_name_the_entry(self):
+        with pytest.raises(PolySyntaxError) as err:
+            parse_matrix_file("t11 0\nt12 1 +\nt21 1\nt22 u^-1 + u\n")
+        assert (str(err.value), err.value.position) == ("t12: expected a term, found None (at position 3)", 3)
+        with pytest.raises(PolySyntaxError) as err:
+            CqcaMatrix.from_strings("0", "1", "1", "u^-1 + v")
+        assert (str(err.value), err.value.position) == ("t22: expected a term, found 'v' (at position 7)", 7)
 
     def test_upper_shear_builtin(self):
         t = upper_shear(parse_poly("1"))

@@ -144,6 +144,18 @@ class TestDiagram:
             "9949e7cf73946c4319888d2c9d004b8fc67e9857218899a20dfa7ed2ec91ed81"
         )
 
+    # Digests of the output before the orbit yielded interleaved frames.
+    @pytest.mark.parametrize("argv, digest", [
+        ("diagram glider --obs=Y@2 --steps 1024",
+         "5642005302e9ebbf73adef74dd49afa7992c39d048261b091727edb1560a4427"),
+        ("diagram fractal --obs=Y@-48 --steps 512 --format ppm",
+         "4d06e70615e39d497393abbdd4d0ab439ea45c5910509486497b1655bf22cc82"),
+    ])
+    def test_pinned_digests(self, capsys, tmp_path, argv, digest):
+        target = tmp_path / "out"
+        assert run(capsys, *argv.split(), "-o", str(target)) == (0, "", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
     def test_zero_steps_is_usage_error(self, capsys):
         err = usage_exit(capsys, "diagram", "glider", "--steps", "0")
         assert "--steps: must be at least 1" in err
@@ -494,7 +506,19 @@ class TestGrammarInputs:
     def test_too_long_exponent_is_a_syntax_error(self, capsys):
         entry = "u^" + "1" * (sys.get_int_max_str_digits() + 1)
         assert run(capsys, "validate", "--t11", entry, "--t12", "1", "--t21", "1", "--t22", "0") == (
-            1, "", "PolySyntaxError: exponent has too many digits (at position 2)\n"
+            1, "", "PolySyntaxError: t11: exponent has too many digits (at position 2)\n"
+        )
+
+    def test_syntax_error_names_the_entry(self, capsys):
+        assert run(capsys, "validate", "--t11", "1", "--t12", "1", "--t21", "1", "--t22", "u +") == (
+            1, "", "PolySyntaxError: t22: expected a term, found None (at position 3)\n"
+        )
+
+    def test_matrix_file_syntax_error_names_the_entry(self, capsys, tmp_path):
+        path = tmp_path / "m.cqca"
+        path.write_text("t11 u^-1 + 1 + u\nt12 1\nt21 u^\nt22 0\n")
+        assert run(capsys, "validate", str(path)) == (
+            1, "", "PolySyntaxError: t21: expected an integer exponent (at position 2)\n"
         )
 
     @given(hst.lists(hst.one_of(POLYS, hst.just(OVERFLOW_POLY)), min_size=4, max_size=4),

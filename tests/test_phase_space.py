@@ -86,6 +86,46 @@ class TestEncoding:
             assert decoded_letters[0] != "1" and decoded_letters[-1] != "1"
 
 
+# Components drawn apart, zero ones and negative lowest sites included.
+components = hst.one_of(
+    hst.just(LaurentPoly.zero()),
+    hst.builds(
+        LaurentPoly,
+        hst.integers(min_value=1, max_value=1 << 200),
+        hst.integers(min_value=-300, max_value=300),
+    ),
+)
+
+
+class TestFrame:
+    def test_identity_is_the_zero_frame(self):
+        assert PhaseVector.zero().frame() == (0, 0)
+        assert PhaseVector.from_frame(0, -7) == PhaseVector.zero()
+
+    def test_one_site_codes(self):
+        # Site base + k holds its code x | z << 1 at bits 2k and 2k + 1: X1ZY@-3 -> 1, 0, 2, 3.
+        assert parse_observable("X1ZY@-3").frame() == (0b11_10_00_01, -3)
+
+    @given(components, components)
+    def test_round_trip(self, x, z):
+        v = PhaseVector(x, z)
+        c, base = v.frame()
+        assert PhaseVector.from_frame(c, base) == v
+        if c:
+            lo, hi = v.support()
+            assert base == lo and (c.bit_length() + 1) // 2 == hi - lo + 1
+            assert [(c >> 2 * k) & 3 for k in range(hi - lo + 1)] == [
+                "1XZY".index(v.letter_at(site)) for site in range(lo, hi + 1)
+            ]
+
+    @given(components, components, hst.integers(min_value=0, max_value=70))
+    def test_from_frame_reads_any_base(self, x, z, pad):
+        # Orbit frames are not normalised: zero sites may sit below the support.
+        v = PhaseVector(x, z)
+        c, base = v.frame()
+        assert PhaseVector.from_frame(c << 2 * pad, base - pad) == v
+
+
 class TestSymplecticForm:
     def test_same_site_x_z_anticommute(self):
         x = pauli_to_phase_space("X", 0)
