@@ -14,7 +14,7 @@ import dataclasses
 import random as _random
 from typing import Iterator
 
-from .laurent import LaurentPoly, PolySyntaxError, gcd, parse_poly, render_poly
+from .laurent import LaurentPoly, PolySyntaxError, clmul, gcd, parse_poly, render_poly, spread_bits
 from .phase_space import PhaseVector
 
 
@@ -190,21 +190,32 @@ class ValidatedCqca:
         every power is a*T + b*I.  Square-and-multiply runs on the pair
         (a, b) from T = (1, 0) over the bits of k after the leading one:
         squaring maps it to (a**2*tr, a**2 + b**2), each square a Frobenius
-        bit-spread, and a factor T maps it to (a*tr + b, a).
+        bit-spread, and a factor T maps it to (a*tr + b, a).  a and b are
+        bare int masks, each with the exponent of its bit 0: a square doubles an
+        offset, a product with tr adds lo(tr), a sum takes the lower of the two.
+        No offset reads a mask, so a zero mask (a_k at even k if tr = 0) keeps
+        its place; a centred trace gives lo(a_k) = -(k-1)*d, lo(b_k) = -(k-2)*d.
         """
         if k < 0:
             raise ValueError("negative powers are not supported; use inverse()")
         if k == 0:
             return identity()
         tr = self.trace()
-        a, b = LaurentPoly.one(), LaurentPoly.zero()
+        t, t_lo = tr.mask, tr.min_exp
+        a, a_lo, b, b_lo = 1, 0, 0, -t_lo  # T = 1*T + 0*I, b at lo(b_1) = -lo(tr)
         for bit in format(k, "b")[1:]:
-            a_squared = a.squared()
-            a, b = a_squared * tr, a_squared + b.squared()
+            a, b, lo = spread_bits(a), spread_bits(b), 2 * min(a_lo, b_lo)
+            a, a_lo, b, b_lo = clmul(a, t), 2 * a_lo + t_lo, a << 2 * a_lo - lo ^ b << 2 * b_lo - lo, lo
             if bit == "1":
-                a, b = a * tr + b, a
+                lo = min(a_lo + t_lo, b_lo)
+                a, a_lo, b, b_lo = clmul(a, t) << a_lo + t_lo - lo ^ b << b_lo - lo, lo, a, a_lo
+
+        def entry(p: LaurentPoly, c: int) -> LaurentPoly:  # a*p + c, c being b or 0 at b's offset
+            lo = min(a_lo + p.min_exp, b_lo)
+            return LaurentPoly(clmul(a, p.mask) << a_lo + p.min_exp - lo ^ c << b_lo - lo, lo)
+
         m = self.matrix
-        result = CqcaMatrix(a * m.t11 + b, a * m.t12, a * m.t21, a * m.t22 + b)
+        result = CqcaMatrix(entry(m.t11, b), entry(m.t12, 0), entry(m.t21, 0), entry(m.t22, b))
         return ValidatedCqca(result, classify(result))
 
     def inverse(self) -> "ValidatedCqca":

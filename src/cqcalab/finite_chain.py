@@ -303,12 +303,11 @@ def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
 # -- F2 linear algebra -------------------------------------------------
 
 
-def _echelon(rows: Iterable[int]) -> dict[int, int]:
-    """A basis of the rows' span keyed by lowest set bit (its index + 1).
+def _echelon(rows: Iterable[int], pivots: dict[int, int]) -> dict[int, int]:
+    """Extend the echelon basis ``pivots`` (in place) by the rows; keys are lowest set bit (index + 1).
 
     Each pivot at a row's lowest bit clears that bit and changes only higher ones.
     """
-    pivots: dict[int, int] = {}
     for v in rows:
         while v:
             low = (v & -v).bit_length()
@@ -324,7 +323,7 @@ def f2_rank(rows: list[int]) -> int:
 
     Callers pass a list: perfbench's tracer counts rows by its length.
     """
-    return len(_echelon(rows))
+    return len(_echelon(rows, {}))
 
 
 # -- ring-state entropy oracle -----------------------------------------
@@ -347,15 +346,20 @@ def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
     supports of width w overlap, min(d, N - d) <= w; and translate y is
     the interleaved seed row rotated by 2y.  The translates must pairwise
     commute and be independent (pure state): the basis must have N rows.
+    With the seed on sites 0..w-1, translates y <= N - w are row << 2y, each
+    keyed at its own lowest bit, so only the w - 1 that wrap are eliminated:
+    the keys of a lowest-bit echelon depend only on the span.
     """
     n, full = n_sites, (1 << 2 * n_sites) - 1
-    c, base = seed.xi.frame()
-    row = _folded(LaurentPoly(c, 2 * base), 2 * n)  # the seed's frame, exponents mod 2N
+    row = _folded(LaurentPoly(seed.xi.frame()[0]), 2 * n)  # the seed from its lowest site, exponents mod 2N
+    w = (row.bit_length() + 1) // 2
     swapped = (row & full // 3) << 1 | (row >> 1) & full // 3  # X and Z exchanged on every site
-    for d in range(1, min((c.bit_length() - 1) // 2, n - 1) + 1):
+    for d in range(1, w):
         if (row & _rotated(swapped, 2 * d, 2 * n, full)).bit_count() % 2:
             raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
-    pivots = _echelon(_rotated(row, 2 * y, 2 * n, full) for y in range(n))
+    inside, low = n + 1 - w if row else 0, (row & -row).bit_length()  # translates 0..inside-1 do not wrap
+    pivots = _echelon((_rotated(row, 2 * y, 2 * n, full) for y in range(inside, n)),
+                      {low + 2 * y: row << 2 * y for y in range(inside)})
     if len(pivots) != n:
         raise NotPure(n - len(pivots))
     return pivots

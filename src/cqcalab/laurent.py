@@ -18,7 +18,7 @@ import re
 from typing import Iterator
 
 
-def _clmul(a: int, b: int) -> int:
+def clmul(a: int, b: int) -> int:
     """Carry-less product of two bitset-encoded polynomials."""
     if a.bit_count() > b.bit_count():
         a, b = b, a
@@ -35,6 +35,15 @@ _SPREAD_NIBBLE = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
 # Byte b -> its low (high) nibble squared: the low (high) byte of b squared.
 _SPREAD_LOW_NIBBLE = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
 _SPREAD_HIGH_NIBBLE = bytes(_SPREAD_NIBBLE[b >> 4] for b in range(256))
+
+
+def spread_bits(mask: int) -> int:
+    """p(u) -> p(u**2) on a bitset, the square over F2 (Frobenius): bit k moves to bit 2k,
+    so each byte becomes two, one per nibble, by a translation."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    spread = bytearray(2 * len(raw))
+    spread[0::2], spread[1::2] = raw.translate(_SPREAD_LOW_NIBBLE), raw.translate(_SPREAD_HIGH_NIBBLE)
+    return int.from_bytes(spread, "little")
 
 
 def _gcd_bits(a: int, b: int) -> int:
@@ -138,19 +147,11 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly.zero()
-        return LaurentPoly(_clmul(self.mask, other.mask), self.min_exp + other.min_exp)
+        return LaurentPoly(clmul(self.mask, other.mask), self.min_exp + other.min_exp)
 
     def squared(self) -> "LaurentPoly":
-        """The square, in linear time: over F2, p(u)**2 = p(u**2) (Frobenius).
-
-        Bit k moves to bit 2k, so each mask byte becomes two, one per nibble, by a translation.
-        """
-        if self.is_zero:
-            return self
-        raw = self.mask.to_bytes((self.mask.bit_length() + 7) // 8, "little")
-        spread = bytearray(2 * len(raw))
-        spread[0::2], spread[1::2] = raw.translate(_SPREAD_LOW_NIBBLE), raw.translate(_SPREAD_HIGH_NIBBLE)
-        return LaurentPoly(int.from_bytes(spread, "little"), 2 * self.min_exp)
+        """The square, in linear time: over F2, p(u)**2 = p(u**2) (Frobenius)."""
+        return LaurentPoly(spread_bits(self.mask), 2 * self.min_exp)
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by the unit u**k."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import re
 
-from .laurent import LaurentPoly, coefficient_dot
+from .laurent import LaurentPoly, coefficient_dot, spread_bits
 
 # The letter of each site code x | z << 1; every letter table is read off it.
 _SITE_LETTERS = "1XZY"
@@ -60,7 +60,7 @@ class PhaseVector:
         """
         parts = [(z, p) for z, p in enumerate((self.xi_plus, self.xi_minus)) if p]
         base = min((p.min_exp for _, p in parts), default=0)
-        return sum(p.squared().mask << 2 * (p.min_exp - base) + z for z, p in parts), base
+        return sum(spread_bits(p.mask) << 2 * (p.min_exp - base) + z for z, p in parts), base
 
     @classmethod
     def from_frame(cls, c: int, base: int) -> "PhaseVector":

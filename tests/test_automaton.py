@@ -282,6 +282,44 @@ class TestPower:
             glider().power(-1)
 
 
+# Every bit pattern of k up to 70, and the runs of ones (2**j - 1) and zeros (2**j) up to 2**12.
+KERNEL_EXPONENTS = sorted({*range(71), *(2**j + d for j in range(1, 13) for d in (-1, 0, 1))})
+
+TRACE_CLASSES = {
+    # tr = 0: T**2 = I, so a_k = 0 at every even k.
+    "swap": swap,
+    "identity": identity,
+    "shear": lambda: shear(parse_poly("u^-2 + 1 + u^2")),
+    "period3": lambda: validate(PERIOD3),  # tr = 1
+    "glider": glider,  # d = 1
+    "fractal": fractal,  # d = 1
+}
+
+
+class TestPowerMaskKernel:
+    """power's int-mask square-and-multiply against full matrix products."""
+
+    @pytest.mark.parametrize("name", TRACE_CLASSES)
+    def test_trace_classes_against_matrix_products(self, name):
+        t = TRACE_CLASSES[name]()
+        for k in KERNEL_EXPONENTS:
+            assert t.power(k) == _slow_power(t, k), k
+
+    @given(random_automata, hst.data())
+    @settings(max_examples=50, deadline=None)
+    def test_random_automata_against_matrix_products(self, t, data):
+        # T**k spans about 2k*d sites; the bound keeps the reference's wide products cheap.
+        k = data.draw(hst.sampled_from([k for k in KERNEL_EXPONENTS if k * max(t.trace_degree(), 1) <= 4097]))
+        assert t.power(k) == _slow_power(t, k)
+
+    @pytest.mark.parametrize("name, period", [("swap", 2), ("shear", 2), ("period3", 3)])
+    def test_huge_exponents_of_periodic_automata(self, name, period):
+        # 333 squarings: the offset of a zero mask must stay put, not double with every square.
+        t = TRACE_CLASSES[name]()
+        for k in (10**100, 10**100 + 1, 3 * 10**100):
+            assert t.power(k) == _slow_power(t, k % period)
+
+
 def _period_by_search(t, cap):
     product = t.matrix
     for p in range(1, cap + 1):

@@ -752,6 +752,52 @@ class TestRingOracleFastPath:
                 compute()
             assert str(got.value) == str(expected.value)
 
+    # Pinned messages, on a 12-site ring and on the shortest ring each seed's half-length admits.
+    @pytest.mark.parametrize("literal, half_length, n_sites, error, message", [
+        ("XZ@0", 1, 6, GeneratorsDoNotCommute, "translates 0 and 1 anticommute"),
+        ("XZ@0", 1, 12, GeneratorsDoNotCommute, "translates 0 and 1 anticommute"),
+        ("X1111Z@0", 1, 12, GeneratorsDoNotCommute, "translates 0 and 5 anticommute"),
+        ("ZXYXZ@-2", 2, 12, NotPure, "generator matrix is rank-deficient by 2"),
+        ("ZZ@0", 1, 6, NotPure, "generator matrix is rank-deficient by 1"),
+    ])
+    def test_bad_seed_messages(self, literal, half_length, n_sites, error, message):
+        bad = TIStabilizerState(parse_observable(literal), half_length)
+        with pytest.raises(error) as expected:
+            reference_ring_rows(bad, n_sites)
+        assert str(expected.value) == message
+        for compute in (lambda: ring_entropy_profile(bad, n_sites),
+                        lambda: ring_state_entropy(bad, n_sites, [0, 2])):
+            with pytest.raises(error, match=f"^{message}$"):
+                compute()
+
+    # A one-site seed (n = 0): every translate lies inside the ring and none is eliminated.
+    @pytest.mark.parametrize("literal", ["X@0", "Y@0", "Z@0", "Z@5", "Y@-7"])
+    @pytest.mark.parametrize("n_sites", [2, 3, 8])
+    def test_one_site_seed_matches_reference(self, literal, n_sites):
+        state = TIStabilizerState(parse_observable(literal), 0)
+        rows = reference_ring_rows(state, n_sites)
+        expected = [generator_entropy(rows, n_sites, range(size)) for size in range(n_sites + 1)]
+        assert ring_entropy_profile(state, n_sites) == expected
+        for region in ([0], [n_sites - 1], list(range(1, n_sites))):
+            assert ring_state_entropy(state, n_sites, region) == generator_entropy(rows, n_sites, region)
+
+    # On a ring of exactly 2(2n + 1) sites, 2n of the N translates wrap: the most the oracle admits.
+    @pytest.mark.parametrize("make, steps", [
+        (fractal, 2), (fractal, 5), (glider, 3),
+        (lambda: random_cqca(1, 6, 2), 2), (lambda: random_cqca(3, 6, 2), 3),
+    ])
+    def test_shortest_ring_matches_reference(self, make, steps):
+        state = evolve(all_spins_up(), make(), steps)[-1]
+        n_sites = 2 * (2 * state.n + 1)
+        assert state.n > 0
+        rows = reference_ring_rows(state, n_sites)
+        expected = [generator_entropy(rows, n_sites, range(size)) for size in range(n_sites + 1)]
+        assert ring_entropy_profile(state, n_sites) == expected
+        rng = random.Random(steps)
+        for size in (1, n_sites // 2, n_sites - 1):
+            region = rng.sample(range(n_sites), size)
+            assert ring_state_entropy(state, n_sites, region) == generator_entropy(rows, n_sites, region)
+
     def test_zero_generator_is_not_pure(self):
         zero = TIStabilizerState(PhaseVector.zero(), 0)
         for compute in (lambda: ring_entropy_profile(zero, 12),

@@ -7,10 +7,12 @@ from hypothesis import given, strategies as hst
 from cqcalab.laurent import (
     LaurentPoly,
     PolySyntaxError,
+    clmul,
     coefficient_dot,
     gcd,
     parse_poly,
     render_poly,
+    spread_bits,
 )
 
 from oracles import (
@@ -191,6 +193,15 @@ class TestSquaredAndPow:
         # every byte value of the translation tables, in one mask
         p = LaurentPoly(int.from_bytes(bytes(range(256)), "little") | 1, -1000)
         assert to_terms(p.squared()) == {2 * e for e in to_terms(p)}
+
+
+    @given(hst.integers(min_value=0, max_value=(1 << 300) - 1))
+    def test_spread_bits_is_the_carry_less_square(self, mask):
+        assert spread_bits(mask) == clmul(mask, mask)
+
+    def test_spread_bits_of_zero(self):
+        assert spread_bits(0) == 0
+        assert LaurentPoly.zero().squared() == LaurentPoly.zero()
 
 
 class TestDegreeSpan:
