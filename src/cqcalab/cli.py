@@ -108,8 +108,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    data = render.emit(render.build_diagram(t, parse_observable(args.obs), args.steps), args.format)
-    _write_output([data], args.output)
+    d = render.build_diagram(t, parse_observable(args.obs), args.steps)
+    _write_output(render.emit_chunks(d, args.format), args.output)
     return 0
 
 
@@ -130,7 +130,7 @@ def _cmd_entangle(args: argparse.Namespace) -> int:
 
 def _cmd_rate(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    state = stabilizer.validate_state(parse_observable(args.state))
+    state = stabilizer.TIStabilizerState(parse_observable(args.state), 0)  # asymptotic_rate validates it
     predicted, empirical = stabilizer.asymptotic_rate(t, state, args.steps)
     print(f"predicted={predicted} empirical={empirical}")
     return 0

@@ -8,14 +8,16 @@ so identical diagrams always produce identical bytes.
 A diagram is one packed buffer, two bits a site: each row is a
 :meth:`ValidatedCqca.orbit` frame, the Frobenius interleave x(u**2) + u*z(u**2),
 shifted to the window's left end, so each byte holds 4 sites as x | z << 1.
-``emit`` fills each output byte position by one whole-buffer translation,
-then one join drops each row's padding.
+``emit_chunks`` streams blocks of whole rows, about 16 KiB packed: one translation
+fills each output byte position of a block, then one join drops each row's
+padding, so output memory is one block at any height.  ``emit`` joins the blocks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Literal
+from itertools import chain
+from typing import Iterator, Literal
 
 from .automaton import ValidatedCqca
 from .phase_space import PhaseVector
@@ -24,6 +26,7 @@ from .phase_space import PhaseVector
 # draws them white, red, blue and green.
 _ASCII = b".XZY"
 _PPM = bytes((255, 255, 255, 255, 0, 0, 0, 0, 255, 0, 255, 0))
+_BLOCK = 1 << 14  # packed bytes per emitted block, rounded down to whole rows (at least one)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,7 +54,7 @@ class SpaceTimeDiagram:
     @property
     def rows(self) -> tuple[str, ...]:
         """Each row's letters over '1XYZ', leftmost site first."""
-        return tuple(str(row, "ascii") for row in _cells(self, b"1XZY"))
+        return tuple(str(b"".join(_cells(self, b"1XZY", b"\n")), "ascii").splitlines())
 
 
 def build_diagram(
@@ -73,26 +76,34 @@ def build_diagram(
     return SpaceTimeDiagram(b"".join(c.to_bytes(size, "little") for c in rows), (left, right))
 
 
-def _cells(d: SpaceTimeDiagram, symbols: bytes) -> list[memoryview]:
-    """Each row's cells as views of one buffer; code k's cell is the k-th quarter of ``symbols``.
+def _cells(d: SpaceTimeDiagram, symbols: bytes, sep: bytes = b"") -> Iterator[bytes]:
+    """Blocks of whole rows, each row's cells then ``sep``; code k's cell is quarter k of ``symbols``.
 
-    One whole-buffer translation writes each byte of each site position in a packed byte.
+    One translation of a block writes each byte of each site position in a packed byte.
     """
     c = len(symbols) // 4
-    cells = bytearray(4 * c * len(d.packed))
-    for i in range(4):
-        for j in range(c):
-            # Byte b holds code (b >> 2i) & 3: each code's run of 4**i bytes, 4**(3 - i) times.
-            table = bytes(symbols[c * code + j] for code in range(4) for _ in range(4**i))
-            cells[c * i + j :: 4 * c] = d.packed.translate(table * 4 ** (3 - i))
-    view, row = memoryview(cells), 4 * c * d.row_bytes
-    return [view[k : k + c * d.width] for k in range(0, len(cells), row)]
+    # Byte b holds code (b >> 2i) & 3: each code's run of 4**i bytes, 4**(3 - i) times.
+    tables = [bytes(symbols[c * code + j] for code in range(4) for _ in range(4**i)) * 4 ** (3 - i)
+              for i in range(4) for j in range(c)]
+    size, row = d.row_bytes * max(1, _BLOCK // d.row_bytes), 4 * c * d.row_bytes
+    for start in range(0, len(d.packed), size):
+        block = d.packed[start : start + size]
+        cells = bytearray(4 * c * len(block))
+        for k, table in enumerate(tables):
+            cells[k :: 4 * c] = block.translate(table)
+        view = memoryview(cells)
+        yield sep.join([*(view[k : k + c * d.width] for k in range(0, len(cells), row)), b""])
+
+
+def emit_chunks(d: SpaceTimeDiagram, format: Literal["ascii", "ppm"]) -> Iterator[bytes]:
+    """Serialize a diagram as blocks of whole rows, PPM header first; byte-exact across platforms."""
+    if format == "ascii":
+        return _cells(d, _ASCII, b"\n")
+    if format == "ppm":
+        return chain([f"P6\n{d.width} {d.height}\n255\n".encode("ascii")], _cells(d, _PPM))
+    raise ValueError(f"unknown format {format!r}")
 
 
 def emit(d: SpaceTimeDiagram, format: Literal["ascii", "ppm"]) -> bytes:
-    """Serialize a diagram; byte-exact across platforms."""
-    if format == "ascii":
-        return b"\n".join([*_cells(d, _ASCII), b""])
-    if format == "ppm":
-        return b"".join([f"P6\n{d.width} {d.height}\n255\n".encode("ascii"), *_cells(d, _PPM)])
-    raise ValueError(f"unknown format {format!r}")
+    """The whole of ``emit_chunks`` as one bytes object."""
+    return b"".join(emit_chunks(d, format))

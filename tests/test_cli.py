@@ -156,6 +156,20 @@ class TestDiagram:
         assert run(capsys, *argv.split(), "-o", str(target)) == (0, "", "")
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
+    def test_ppm_streams_in_blocks(self, capsys, tmp_path):
+        # Written a block of rows at a time: the traced peak is the packed diagram and one
+        # block, well under the 6.3 MB image (a whole-image buffer plus its join is 2.2x).
+        target = tmp_path / "out.ppm"
+        tracemalloc.start()
+        try:
+            code = main(["diagram", "glider", "--steps", "1024", "--format", "ppm", "-o", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, *capsys.readouterr()) == (0, "", "")
+        assert target.read_bytes().startswith(b"P6\n2051 1025\n255\n")
+        assert peak < target.stat().st_size / 2
+
     def test_zero_steps_is_usage_error(self, capsys):
         err = usage_exit(capsys, "diagram", "glider", "--steps", "0")
         assert "--steps: must be at least 1" in err
@@ -250,6 +264,16 @@ class TestRate:
         code, out, _ = run(capsys, "rate", "fractal", "--steps", "100000")
         assert code == 0
         assert out == "predicted=1 empirical=1\n"
+
+    def test_seed_validated_once(self, capsys, monkeypatch):
+        calls = []
+        validate_state = cli.stabilizer.validate_state
+        monkeypatch.setattr(cli.stabilizer, "validate_state", lambda v: calls.append(v) or validate_state(v))
+        assert run(capsys, "rate", "glider", "--state", "ZXZ@-1", "--steps", "64") == (0, "predicted=1 empirical=1\n", "")
+        assert calls == [parse_observable("ZXZ@-1")]
+        code, out, err = run(capsys, "rate", "glider", "--state", "XX@0", "--steps", "64")
+        assert (code, out, err) == (1, "", "NotReflectionSymmetric: seed is not mirror-symmetric about site 0\n")
+        assert len(calls) == 2
 
     def test_short_horizon_is_usage_error(self, capsys):
         err = usage_exit(capsys, "rate", "fractal", "--steps", "10")

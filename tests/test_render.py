@@ -3,10 +3,12 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from cqcalab import render
 from cqcalab.automaton import CqcaMatrix, fractal, glider, identity, random_cqca, swap, validate
 from cqcalab.phase_space import parse_observable
-from cqcalab.render import SpaceTimeDiagram, build_diagram, emit
+from cqcalab.render import SpaceTimeDiagram, build_diagram, emit, emit_chunks
 
 import oracles
 
@@ -122,6 +124,78 @@ class TestEmit:
         d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
         with pytest.raises(ValueError):
             emit(d, "svg")
+
+    def test_unknown_format_raises_before_iteration(self):
+        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        with pytest.raises(ValueError, match="svg"):
+            emit_chunks(d, "svg")
+
+
+def assert_streams(d, expected):
+    """At block sizes around one row, the chunks join to ``expected[format]`` and split at row ends.
+
+    The sizes are one packed byte, three, one byte either side of a row, a byte over two rows
+    (so an odd height ends in a part block), and more than the buffer.
+    """
+    for block in (1, 3, d.row_bytes - 1, d.row_bytes + 1, 2 * d.row_bytes + 1, len(d.packed) + 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "_BLOCK", block)
+            per_block = max(1, block // d.row_bytes)
+            for format, want in expected.items():
+                chunks = list(emit_chunks(d, format))
+                assert b"".join(chunks) == emit(d, format) == want, (block, format)
+                if format == "ppm":
+                    header, *chunks = chunks
+                    assert header == f"P6\n{d.width} {d.height}\n255\n".encode()
+                row = d.width + 1 if format == "ascii" else 3 * d.width
+                assert [len(chunk) for chunk in chunks] == [
+                    row * min(per_block, d.height - k) for k in range(0, d.height, per_block)
+                ], (block, format)
+
+
+class TestBlocks:
+    """emit_chunks yields whole rows per block, and its blocks join to emit's and the oracle's bytes."""
+
+    def test_one_by_one(self):
+        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        assert_streams(d, {"ascii": b".\n", "ppm": b"P6\n1 1\n255\n\xff\xff\xff"})
+
+    def test_one_site_wide_column(self):
+        d = SpaceTimeDiagram(packed=bytes((1, 0, 2, 0, 3, 0, 0, 0)), window=(5, 5))
+        pixels = b"\xff\0\0" + b"\0\0\xff" + b"\0\xff\0" + b"\xff\xff\xff"
+        assert_streams(d, {"ascii": b"X\nZ\nY\n.\n", "ppm": b"P6\n1 4\n255\n" + pixels})
+
+    @pytest.mark.parametrize("t, literal, steps", [(glider(), "YX@-3", 150), (fractal(), "Z@0", 70)])
+    def test_named_cases(self, t, literal, steps):
+        d = build_diagram(t, parse_observable(literal), steps)
+        assert_streams(d, {f: per_cell(t, literal, steps, f) for f in ("ascii", "ppm")})
+
+    def test_row_wider_than_one_block(self):
+        # 4 * _BLOCK + 9 sites make a row of _BLOCK + 4 packed bytes, so each block is one row.
+        literal = "Y" + "1" * (4 * render._BLOCK + 5) + "Z@-3"
+        d = build_diagram(swap(), parse_observable(literal), 2)
+        assert d.row_bytes > render._BLOCK
+        for format in ("ascii", "ppm"):
+            chunks = list(emit_chunks(d, format))
+            assert len(chunks) == d.height + (format == "ppm")
+            assert b"".join(chunks) == per_cell(swap(), literal, 2, format)
+
+    @given(
+        hst.builds(
+            random_cqca,
+            seed=hst.integers(min_value=0, max_value=10**9),
+            word_length=hst.integers(min_value=0, max_value=5),
+            max_shear_degree=hst.integers(min_value=1, max_value=2),
+        ),
+        hst.text(alphabet="1XYZ", min_size=1, max_size=6),
+        hst.integers(min_value=-9, max_value=9),
+        hst.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_automata(self, t, letters, offset, steps):
+        literal = f"{letters}@{offset}"
+        d = build_diagram(t, parse_observable(literal), steps)
+        assert_streams(d, {f: per_cell(t, literal, steps, f) for f in ("ascii", "ppm")})
 
 
 # Trace 1, so T**2 = T + I and T**3 = I: a periodic automaton of period 3.
