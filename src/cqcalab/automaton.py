@@ -113,12 +113,16 @@ def center(m: CqcaMatrix, a: int) -> CqcaMatrix:
 
 
 def classify(m: CqcaMatrix) -> ClassTag:
-    """Read the dynamical class off the trace of a centered matrix.
+    """Read the dynamical class off the trace of a centered matrix; see classify_trace."""
+    return classify_trace(m.trace())
+
+
+def classify_trace(tr: LaurentPoly) -> ClassTag:
+    """The dynamical class of a centered matrix with trace tr.
 
     Constant trace: periodic.  Trace u**-n + u**n: gliders moving n sites
     per step.  Anything else: fractal space-time behavior.
     """
-    tr = m.trace()
     if tr.is_zero or (tr.mask == 1 and tr.min_exp == 0):
         return Periodic()
     span = tr.degree_span()
@@ -216,7 +220,8 @@ class ValidatedCqca:
 
         m = self.matrix
         result = CqcaMatrix(entry(m.t11, b), entry(m.t12, 0), entry(m.t21, 0), entry(m.t22, b))
-        return ValidatedCqca(result, classify(result))
+        # tr(a*T + b*I) = a*tr + 2b = a*tr over F2: no diagonal is re-added.
+        return ValidatedCqca(result, classify_trace(LaurentPoly(clmul(a, t), a_lo + t_lo)))
 
     def inverse(self) -> "ValidatedCqca":
         # det = 1 after centering, so the adjugate (over F2) is the inverse.

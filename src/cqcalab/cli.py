@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import chain, islice, repeat
-from typing import Iterable
+from itertools import chain, count, cycle, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import automaton, finite_chain, render, stabilizer
 from .automaton import CqcaMatrix, CqcaValidationError, ValidatedCqca
@@ -74,6 +74,9 @@ def _region_sizes(text: str) -> list[int]:
     return sizes
 
 
+_BLOCK = 1 << 16  # bytes of output in one streamed block of a per-step table, about
+
+
 def _write_output(chunks: Iterable[bytes], path: str | None) -> None:
     if path is None:
         sys.stdout.buffer.writelines(chunks)
@@ -113,18 +116,49 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rows(fmt: str, lo: int, hi: int, *columns: Sequence[int]) -> str:
+    """fmt once per row lo..hi-1, its fields read from the columns (indexed by row) by one %."""
+    if lo >= hi:
+        return ""
+    fields = [0] * (len(columns) * (hi - lo))
+    for i, column in enumerate(columns):
+        fields[i::len(columns)] = column[lo:hi]
+    return fmt * (hi - lo) % tuple(fields)
+
+
+def _entangle_csv(ns: list[int], d: int, steps: int, region: int | None) -> Iterator[bytes]:
+    """CSV rows t = 0..steps from the transient ns = n_0..n_k (see stabilizer._transient).
+
+    Rows t < k, and every row if d = 0 (n_t = ns[t mod (k + 1)]), have their n, E_bi
+    and E_tri baked into the row format, so only t varies.  From t = k on, n_t =
+    n_k + (t - k) d and E_tri = min(2n, L) is 2n up to the row where 2n reaches L and
+    L from there, so every column of a block is a range: one format, no call per row.
+    """
+    k, end, rows = len(ns) - 1, steps + 1, max(1, _BLOCK // 16)  # a row is about 16 bytes
+    baked = ["%%d,%d,%d,%s\n" % (n, n, "" if region is None else min(2 * n, region)) for n in ns]
+    n = twice = ()
+    if d:  # n_t, and 2 n_t, at index t
+        n = range(ns[k] - k * d, ns[k] + (end - k) * d, d)
+        twice = range(2 * n.start, 2 * n.stop, 2 * d)
+        cross = max(k, k - (2 * ns[k] - region) // (2 * d)) if region else end  # first row with 2n >= L
+    else:
+        k = cross = end
+    below = ("%d,%d,%d,%d\n", range(end), n, n, twice) if region else ("%d,%d,%d,\n", range(end), n, n)
+    for a in range(0, end, rows):
+        b = min(a + rows, end)
+        c, j = max(min(b, k), a), a % len(baked)
+        text = "".join(islice(cycle(baked), j, j + c - a)) % tuple(range(a, c))
+        text += _rows(below[0], max(a, k), min(b, cross), *below[1:])
+        text += _rows(f"%d,%d,%d,{region}\n", max(a, cross), b, range(end), n, n)
+        yield text.encode("ascii")
+
+
 def _cmd_entangle(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
     state = stabilizer.validate_state(parse_observable(args.state))
-    ns = stabilizer._half_lengths(t, state.xi, args.steps)
-
-    def block(start: int) -> bytes:  # 4096 rows straight from n, so memory stays flat in --steps
-        n = list(islice(ns, 4096))
-        tri = map(min, map((2).__mul__, n), repeat(args.region)) if args.region else repeat("")
-        rows = map("%d,%d,%d,%s\n".__mod__, zip(range(start, start + len(n)), n, n, tri))
-        return "".join(rows).encode("ascii")
-
-    _write_output(chain([b"t,n,E_bi,E_tri\n"], map(block, range(0, args.steps + 1, 4096))), args.output)
+    ns = stabilizer._transient(t, state.xi, args.steps)
+    csv = _entangle_csv(ns, t.trace_degree(), args.steps, args.region)
+    _write_output(chain([b"t,n,E_bi,E_tri\n"], csv), args.output)
     return 0
 
 
@@ -150,6 +184,16 @@ def _parse_site_letter(flag: str, text: str, origin: int, n_sites: int) -> tuple
     return site - origin, letter
 
 
+def _table(rows: Iterator, row_bytes: int, label: Callable[[list], list[str]]) -> Iterator[bytes]:
+    """Lines "k<TAB>label" of rows 0, 1, ..., labelled one block of about _BLOCK bytes at a time."""
+    size = max(1, _BLOCK // row_bytes)
+    for start in count(0, size):
+        block = list(islice(rows, size))
+        if not block:
+            return
+        yield "".join(map("%d\t%s\n".__mod__, zip(count(start), label(block)))).encode("ascii")
+
+
 def _cmd_finite(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
     origin = args.origin
@@ -159,7 +203,7 @@ def _cmd_finite(args: argparse.Namespace) -> int:
         None if text is None else _parse_site_letter(flag, text, origin, args.sites)
         for flag, text in (("--mirror", args.mirror), ("--parity", args.parity))
     )
-    rule = finite_chain.truncate_rule(t, args.sites, args.boundary)
+    rule, parts = finite_chain.truncate_rule(t, args.sites, args.boundary), []
     if args.obs is not None:
         v = parse_observable(args.obs)
         span = v.support()
@@ -175,19 +219,19 @@ def _cmd_finite(args: argparse.Namespace) -> int:
             v.xi_plus.coefficients(origin, args.sites),
             v.xi_minus.coefficients(origin, args.sites),
         )
-        for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
-            print(f"{k}\t{evolved}")
+        orbit = finite_chain.orbit_masks(rule, op, args.steps)
+        parts.append(_table(orbit, args.sites + 16, lambda block: finite_chain.labels(block, args.sites)))
     if mirror is not None:
         found = finite_chain.mirror_time(rule, *mirror)
-        if found is None:
-            print(f"mirror {args.mirror}: not mirrored within {2 * args.sites + 2} steps")
-        else:
-            print(f"mirror {args.mirror}: step {found}")
+        result = f"not mirrored within {2 * args.sites + 2} steps" if found is None else f"step {found}"
+        parts.append([f"mirror {args.mirror}: {result}\n".encode()])
     if parity is not None:
-        op = FiniteOperator.single_site(args.sites, *parity)
-        for k, evolved in enumerate(finite_chain.evolve_finite(rule, op, args.steps)):
-            print(f"{k}\t{finite_chain.global_y_parity(evolved):+d}")
-    if args.obs is None and mirror is None and parity is None:
+        orbit = finite_chain.orbit_masks(rule, FiniteOperator.single_site(args.sites, *parity), args.steps)
+        # global_y_parity of each row: -1 for an odd number of X and Z factors.
+        parts.append(_table(orbit, 16, lambda block: [("+1", "-1")[(x ^ z).bit_count() & 1] for x, z, _ in block]))
+    if parts:
+        _write_output(chain.from_iterable(parts), None)
+    else:
         print(f"valid rule on {args.sites} sites ({args.boundary} boundary)")
     return 0
 

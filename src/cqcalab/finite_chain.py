@@ -2,8 +2,9 @@
 
 Operators are two N-bit masks plus an exact power of i.  A rule is the
 ring image pair of site 0 plus the pairs of the at most r cut sites at
-each open end; step maps the run between the ends in one bit-sliced pass
-and multiplies on the end images one by one.  Ring entanglement is
+each open end; a step (orbit_masks, under step and evolve_finite) maps
+the run between the ends in one bit-sliced pass and multiplies on the end
+images one by one, on raw (x_mask, z_mask, phase_exp) triples.  Ring entanglement is
 measured by F2 rank of generator matrices, an oracle independent of the
 symbolic closed forms.
 
@@ -22,11 +23,13 @@ from typing import Iterable, Iterator, Literal, Sequence
 from . import stabilizer
 from .automaton import ValidatedCqca
 from .laurent import LaurentPoly
-from .phase_space import pauli_to_phase_space, site_letters
+from .phase_space import letter_rows, pauli_to_phase_space
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
 Pair = tuple["FiniteOperator", "FiniteOperator"]  # the images of X_s and Z_s
+Triple = tuple[int, int, int]  # (x_mask, z_mask, phase_exp) of an operator
+_SIGNS = ("+", "+i", "-", "-i")  # i**k relative to the Hermitian product
 
 
 class BoundaryBreaksAutomorphism(ValueError):
@@ -80,21 +83,23 @@ class FiniteOperator:
     def __mul__(self, other: "FiniteOperator") -> "FiniteOperator":
         if self.n_sites != other.n_sites:
             raise ValueError("operators live on chains of different length")
-        # Moving other's X block past self's Z block picks up one sign per overlap.
-        crossings = (self.z_mask & other.x_mask).bit_count()
-        return FiniteOperator(
-            self.n_sites,
-            self.x_mask ^ other.x_mask,
-            self.z_mask ^ other.z_mask,
-            self.phase_exp + other.phase_exp + 2 * crossings,
-        )
+        return FiniteOperator(self.n_sites, *_mul(self.triple(), other.triple()))
+
+    def triple(self) -> Triple:
+        return self.x_mask, self.z_mask, self.phase_exp
 
     def commutes_with(self, other: "FiniteOperator") -> bool:
         return ((self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)).bit_count() % 2 == 0
 
     def __str__(self) -> str:
-        prefix = ("+", "+i", "-", "-i")[(self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 4]
-        return prefix + site_letters(self.x_mask, self.z_mask, self.n_sites)
+        return labels([self.triple()], self.n_sites)[0]
+
+
+def labels(rows: Sequence[Triple], n_sites: int) -> list[str]:
+    """str of the operator of each (x_mask, z_mask, phase_exp): its sign relative to
+    the Hermitian product, then its letters, read for all rows by one letter_rows."""
+    letters = letter_rows([x for x, _, _ in rows], [z for _, z, _ in rows], n_sites)
+    return [_SIGNS[(p - (x & z).bit_count()) % 4] + word for (x, z, p), word in zip(rows, letters)]
 
 
 def global_y_parity(op: FiniteOperator) -> int:
@@ -198,50 +203,61 @@ def truncate_rule(t: ValidatedCqca, n_sites: int, boundary: Boundary) -> FiniteR
     return FiniteRule(n_sites, boundary, bulk, tuple(ends[:radius]), tuple(ends[radius:]))
 
 
-def _times_ends(result: FiniteOperator, ends: Sequence[Pair], op: FiniteOperator, lo: int) -> FiniteOperator:
-    """result times the images of op's factors on the end sites lo, lo + 1, ..., in order."""
-    for site, (x_image, z_image) in enumerate(ends, lo):
-        if (op.x_mask >> site) & 1:
-            result = result * x_image
-        if (op.z_mask >> site) & 1:
-            result = result * z_image
-    return result
+def _mul(a: Triple, b: Triple) -> Triple:
+    """The product a b: moving b's X block past a's Z block picks up one sign per overlap."""
+    return a[0] ^ b[0], a[1] ^ b[1], a[2] + b[2] + 2 * (a[1] & b[0]).bit_count()
+
+
+def _times_ends(acc: Triple, ends: Sequence[Pair], x: int, z: int, lo: int) -> Triple:
+    """acc times the images of the factors of (x, z) on the end sites lo, lo + 1, ..., in order."""
+    for site, images in enumerate(ends, lo):
+        for image, bit in zip(images, (x >> site, z >> site)):
+            if bit & 1:
+                acc = _mul(acc, image.triple())
+    return acc
+
+
+def orbit_masks(rule: FiniteRule, op: FiniteOperator, steps: int) -> Iterator[Triple]:
+    """(x_mask, z_mask, phase_exp) of op after 0..steps steps, with full i-power phase tracking.
+
+    Each step maps the kernel's run in one pass, in the affine-plus-quadratic
+    form of a Clifford step: masks by an XOR of rotations, the phase by
+    popcounts.  The end sites' images are multiplied on one at a time,
+    as prefix * bulk * suffix in site order.  No operator is built.
+    """
+    n, (lo, hi, phases, moves, pairs) = rule.n_sites, rule.kernel
+    run, left, full = (1 << hi) - (1 << lo), (1 << lo) - 1, (1 << n) - 1
+    x, z, phase = op.triple()
+    for _ in range(steps):
+        yield x, z, phase
+        b = (x & run, z & run)
+        out = [0, 0]
+        for part, source, shift in moves:
+            v = b[source] << shift
+            out[part] ^= v ^ (v >> n)
+        crossings = 0
+        for t, u, d in pairs:
+            crossings ^= b[t] & (b[u] >> d)
+        bulk = (out[0] & full, out[1] & full,
+                phase + phases[0] * b[0].bit_count() + phases[1] * b[1].bit_count() + 2 * crossings.bit_count())
+        if (x | z) & left:
+            bulk = _mul(_times_ends((0, 0, 0), rule.left, x, z, 0), bulk)
+        x, z, phase = _times_ends(bulk, rule.right, x, z, hi)
+        phase %= 4
+    yield x, z, phase
 
 
 def step(rule: FiniteRule, op: FiniteOperator) -> FiniteOperator:
-    """One automorphism step with full i-power phase tracking.
-
-    The kernel's run is mapped in one pass, in the affine-plus-quadratic
-    form of a Clifford step: masks by an XOR of rotations, the phase by
-    popcounts.  The end sites' images are multiplied on one at a time,
-    as prefix * bulk * suffix in site order.
-    """
-    n, (lo, hi, phases, moves, pairs) = rule.n_sites, rule.kernel
-    run = (1 << hi) - (1 << lo)
-    b = (op.x_mask & run, op.z_mask & run)
-    out = [0, 0]
-    for part, source, shift in moves:
-        v = b[source] << shift
-        out[part] ^= v ^ (v >> n)
-    crossings = 0
-    for t, u, d in pairs:
-        crossings ^= b[t] & (b[u] >> d)
-    phase = phases[0] * b[0].bit_count() + phases[1] * b[1].bit_count() + 2 * crossings.bit_count()
-    full = (1 << n) - 1
-    result = FiniteOperator(n, out[0] & full, out[1] & full, op.phase_exp + phase)
-    if (op.x_mask | op.z_mask) & ((1 << lo) - 1):
-        result = _times_ends(FiniteOperator.identity(n), rule.left, op, 0) * result
-    return _times_ends(result, rule.right, op, hi)
+    """One automorphism step with full i-power phase tracking; see orbit_masks."""
+    _, image = orbit_masks(rule, op, 1)
+    return FiniteOperator(rule.n_sites, *image)
 
 
 def evolve_finite(rule: FiniteRule, op: FiniteOperator, steps: int) -> list[FiniteOperator]:
     """The operator after 0..steps applications of the rule."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    out = [op]
-    for _ in range(steps):
-        out.append(step(rule, out[-1]))
-    return out
+    return [FiniteOperator(rule.n_sites, *image) for image in orbit_masks(rule, op, steps)]
 
 
 def invert_rule(rule: FiniteRule) -> FiniteRule:
@@ -292,12 +308,9 @@ def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
     """
     if rule.boundary != "open":
         raise ValueError("mirroring is an open-boundary phenomenon")
-    op = FiniteOperator.single_site(rule.n_sites, site, letter)
-    for k in range(1, 2 * rule.n_sites + 3):
-        op = step(rule, op)
-        if op.x_mask | op.z_mask == 1 << (rule.n_sites - 1 - site):
-            return k
-    return None
+    op, target = FiniteOperator.single_site(rule.n_sites, site, letter), 1 << (rule.n_sites - 1 - site)
+    images = orbit_masks(rule, op, 2 * rule.n_sites + 2)
+    return next((k for k, (x, z, _) in enumerate(images) if k and x | z == target), None)
 
 
 # -- F2 linear algebra -------------------------------------------------

@@ -225,12 +225,16 @@ class PolySyntaxError(ValueError):
 
 # One term at a time along the whitespace-stripped text: "1", "u" or "u^<int>".
 _TERM = re.compile(r"(1)|u(\^([+-]?)([0-9]*))?")
+# The widest exponent span, highest minus lowest, that parse_poly builds a mask for.
+MAX_EXPONENT_SPAN = 1 << 20
 
 
 def parse_poly(text: str) -> LaurentPoly:
     """Parse "0" or a "+"-separated list of terms "1", "u", "u^<int>".
 
     Whitespace is ignored, even inside an exponent.  Repeated terms cancel mod 2.
+    A term that takes the exponent span over MAX_EXPONENT_SPAN is an error, raised
+    before any mask is built: a short text must not make a huge polynomial.
     """
     kept = [i for i, c in enumerate(text) if not c.isspace()]
     stripped = "".join(text[i] for i in kept)
@@ -241,8 +245,7 @@ def parse_poly(text: str) -> LaurentPoly:
         if len(stripped) > 1:
             raise PolySyntaxError("unexpected input after '0'", kept[1])
         return LaurentPoly.zero()
-    exponents = []
-    pos = 0
+    exponents, pos, lo, hi = [], 0, None, None
     while True:
         term = _TERM.match(stripped, pos)
         if term is None:
@@ -252,9 +255,13 @@ def parse_poly(text: str) -> LaurentPoly:
         if caret and not digits:
             raise PolySyntaxError("expected an integer exponent", kept[pos])
         try:
-            exponents.append(0 if one else int(sign + digits) if caret else 1)
+            e = 0 if one else int(sign + digits) if caret else 1
         except ValueError:  # int()'s digit limit; the pattern admits only ASCII digits
             raise PolySyntaxError("exponent has too many digits", kept[term.start(4)]) from None
+        lo, hi = (e, e) if lo is None else (min(lo, e), max(hi, e))
+        if hi - lo > MAX_EXPONENT_SPAN:
+            raise PolySyntaxError(f"exponents span {hi - lo}, more than {MAX_EXPONENT_SPAN}", kept[term.start()])
+        exponents.append(e)
         if pos == len(stripped):
             return LaurentPoly.from_exponents(exponents)
         if stripped[pos] != "+":

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from itertools import repeat
+from typing import Sequence
 
 from .laurent import LaurentPoly, coefficient_dot, spread_bits
 
@@ -21,6 +23,9 @@ _SITE_LETTERS = "1XZY"
 _CODE_DIGIT = str.maketrans(_SITE_LETTERS, "0123")
 # Byte 144 + code -> the letter of the code; see site_letters.
 _CODE_BYTE_LETTER = bytes.maketrans(bytes(range(144, 148)), _SITE_LETTERS.encode("ascii"))
+# Byte b of a Frobenius interleave -> the letter of its site i, the code (b >> 2i) & 3: each
+# letter's run of 4**i bytes, 4**(3 - i) times; see letter_rows.
+_QUARTER_LETTER = [b"".join(bytes([c]) * 4**i for c in _SITE_LETTERS.encode("ascii")) * 4 ** (3 - i) for i in range(4)]
 _INT = re.compile("[+-]?[0-9]+")
 
 
@@ -36,6 +41,25 @@ def site_letters(x_mask: int, z_mask: int, width: int) -> str:
         return ""  # format(0, "00b") is "0", one digit too many
     x, z = (int.from_bytes(format(mask, f"0{width}b").encode("ascii"), "big") for mask in (x_mask, z_mask))
     return (x + 2 * z).to_bytes(width, "little").translate(_CODE_BYTE_LETTER).decode("ascii")
+
+
+def letter_rows(xs: Sequence[int], zs: Sequence[int], width: int) -> list[str]:
+    """site_letters of each row (x, z) of a block, in one pass over the block.
+
+    Each side's rows are laid end to end, one whole number of bytes a row, as
+    one int; the Frobenius interleave x(u**2) + u z(u**2) of the two holds 4
+    sites a byte as x | z << 1, and one translation per site position of a
+    byte writes the letters of the block, as diagrams are rendered.
+    """
+    size = (width + 7) // 8
+    x, z = (int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size), repeat("little"))), "little")
+            for rows in (xs, zs))
+    packed = (spread_bits(x) | spread_bits(z) << 1).to_bytes(2 * size * len(xs), "little")
+    cells = bytearray(4 * len(packed))
+    for i, table in enumerate(_QUARTER_LETTER):
+        cells[i::4] = packed.translate(table)
+    text = cells.decode("ascii")
+    return [text[k:k + width] for k in range(0, len(text), 8 * size)] if size else [""] * len(xs)
 
 
 @dataclasses.dataclass(frozen=True)

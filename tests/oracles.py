@@ -165,6 +165,14 @@ def step_per_site(rule, op):
     return result
 
 
+def orbit_per_site(rule, op, steps):
+    """Reference for finite_chain.orbit_masks: (x_mask, z_mask, phase_exp) of op stepped by step_per_site."""
+    for _ in range(steps):
+        yield op.x_mask, op.z_mask, op.phase_exp
+        op = step_per_site(rule, op)
+    yield op.x_mask, op.z_mask, op.phase_exp
+
+
 def reference_rank(rows):
     """Rank over F2 of bitset rows: each row is reduced by every earlier pivot's lowest bit."""
     basis = []

@@ -305,6 +305,14 @@ class TestPowerMaskKernel:
         for k in KERNEL_EXPONENTS:
             assert t.power(k) == _slow_power(t, k), k
 
+    @pytest.mark.parametrize("name", TRACE_CLASSES)
+    def test_class_tag_read_off_the_trace(self, name):
+        # power tags T**k by tr(T**k) = a_k*tr, not by classifying the matrix it built.
+        t = TRACE_CLASSES[name]()
+        for k in KERNEL_EXPONENTS:
+            tk = t.power(k)
+            assert tk.class_tag == classify(tk.matrix), k
+
     @given(random_automata, hst.data())
     @settings(max_examples=50, deadline=None)
     def test_random_automata_against_matrix_products(self, t, data):

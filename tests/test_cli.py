@@ -8,9 +8,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as hst
 
 from cqcalab import cli
-from cqcalab.automaton import fractal
+from cqcalab.automaton import CqcaMatrix, fractal, glider, identity, random_cqca, swap, validate
 from cqcalab.cli import main
-from cqcalab.phase_space import parse_observable
+from cqcalab.finite_chain import FiniteOperator, truncate_rule
+from cqcalab.laurent import render_poly
+from cqcalab.phase_space import format_observable, parse_observable
+from cqcalab.stabilizer import entanglement_trajectory, trajectory_csv, validate_state
+from oracles import letter_at, orbit_per_site
 
 
 def run(capsys, *argv):
@@ -212,6 +216,80 @@ class TestEntangle:
     def test_negative_steps_is_usage_error(self, capsys):
         err = usage_exit(capsys, "entangle", "glider", "--steps", "-1")
         assert "--steps: must be at least 0" in err
+
+
+PERIOD3 = validate(CqcaMatrix.from_strings("0", "1", "1", "1"))  # tr = 1
+# T**-12 Z under the glider: n falls from 11 to 0 over the transient, then grows.
+BACKWARD = format_observable(glider().inverse().power(12).apply(parse_observable("Z")))
+
+
+def matrix_flags(t):
+    return [f"--{key}={render_poly(p)}" for key, p in zip(("t11", "t12", "t21", "t22"), t.matrix.entries())]
+
+
+class TestStreamedEntangle:
+    """The block formatter of cqca entangle against trajectory_csv(entanglement_trajectory(...)),
+    at blocks of 1, 2, 3 and 4,096 rows."""
+
+    @staticmethod
+    def check(capsys, monkeypatch, t, literal, steps, region):
+        expected = trajectory_csv(entanglement_trajectory(t, validate_state(parse_observable(literal)), steps, region))
+        argv = ["entangle", *matrix_flags(t), f"--state={literal}", "--steps", str(steps)]
+        argv += [] if region is None else ["--region", str(region)]
+        for rows in (1, 2, 3, 4096):
+            monkeypatch.setattr(cli, "_BLOCK", 16 * rows)
+            assert run(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("t, literal, steps, region", [
+        (fractal(), "Z", 40, 64),  # 2n reaches L at t = 33: a block edge at 1 and 3 rows, inside at 2
+        (fractal(), "Z", 40, 62),  # at t = 32: inside a 3-row block
+        (fractal(), "Z", 40, 1),  # from t = 1 on
+        (glider(), "Z", 30, 10**6),  # never reached
+        (glider(), "Z", 30, None),
+        (glider() @ glider(), "Z", 30, 17),  # d = 2: 2n passes L without equalling it
+        (identity(), "Z", 7, 1),  # d = 0
+        (swap(), "Z", 7, None),
+        (swap(), "XZX@-1", 8, 3),
+        (PERIOD3, "Y", 8, 2),
+        (PERIOD3, "XZX@-1", 1, 5),  # fewer steps than the period
+        (glider(), BACKWARD, 5, 7),  # fewer steps than the transient
+        (glider(), BACKWARD, 12, 7),
+        (glider(), BACKWARD, 40, 7),
+    ])
+    def test_cases(self, capsys, monkeypatch, t, literal, steps, region):
+        self.check(capsys, monkeypatch, t, literal, steps, region)
+
+    @given(hst.integers(min_value=0, max_value=10**9), hst.integers(min_value=0, max_value=7),
+           hst.sampled_from(["Z", "X", "XZX@-1", "YXY@-1", "YXXXXXY@-3", BACKWARD]),
+           hst.integers(min_value=0, max_value=60), hst.one_of(hst.none(), hst.integers(min_value=1, max_value=100)))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_random_automata(self, capsys, monkeypatch, seed, word_length, literal, steps, region):
+        self.check(capsys, monkeypatch, random_cqca(seed, word_length, 2), literal, steps, region)
+
+
+class TestStreamedFinite:
+    ARGV = ["finite", "glider", "--sites", "9", "--origin=-4", "--steps", "12"]
+    PARTS = (["--obs=ZY@-1"], ["--mirror=0:X"], ["--parity=2:Z"])
+
+    def test_observable_rows_against_the_reference(self, capsys):
+        rule = truncate_rule(glider(), 9, "open")
+        op = FiniteOperator.hermitian(9, 1 << 4, 0b11 << 3)  # Z on site -1 and Y on site 0
+        expected = []
+        for k, (x, z, phase) in enumerate(orbit_per_site(rule, op, 12)):
+            op = FiniteOperator(9, x, z, phase)
+            sign = ("+", "+i", "-", "-i")[(phase - (x & z).bit_count()) % 4]
+            expected.append(f"{k}\t{sign}{''.join(letter_at(op, s) for s in range(9))}\n")
+        assert run(capsys, *self.ARGV, *self.PARTS[0]) == (0, "".join(expected), "")
+
+    def test_obs_mirror_and_parity_in_one_call(self, capsys, monkeypatch):
+        alone = [run(capsys, *self.ARGV, *part) for part in self.PARTS]
+        assert [(code, err) for code, _, err in alone] == [(0, "")] * 3
+        assert [len(out.splitlines()) for _, out, _ in alone] == [13, 1, 13]
+        together = (0, "".join(out for _, out, _ in alone), "")
+        for rows in (1, 2, 3, 4096):  # a row of 9 sites counts 9 + 16 bytes
+            monkeypatch.setattr(cli, "_BLOCK", 25 * rows)
+            assert run(capsys, *self.ARGV, *self.PARTS[0], *self.PARTS[1], *self.PARTS[2]) == together
+            assert run(capsys, *self.ARGV, *self.PARTS[2], *self.PARTS[1], *self.PARTS[0]) == together
 
 
 class TestParserReuse:
@@ -500,10 +578,11 @@ def matrix_files(draw):
 def exit_code(argv):
     """main(argv) with output discarded; argparse's own exit counts as its code.
 
-    No input may end in a traceback, printed or raised.
+    No input may end in a traceback, printed or raised.  stdout wraps a bytes
+    buffer, since the streamed tables go to sys.stdout.buffer.
     """
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -523,8 +602,25 @@ class TestGrammarInputs:
         finally:
             tracemalloc.stop()
         assert (code, out) == (1, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == ("PolySyntaxError: t11: exponents span 199999999999999999998, more than 1048576 "
+                       "(at position 26)\n")
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("entry, error", [
+        ("1 + u^1048576", ""),  # at the budget: parsed, then validation rejects it
+        ("1 + u^1048577", "PolySyntaxError: t12: exponents span 1048577, more than 1048576 (at position 4)\n"),
+        ("1 + u^100000000", "PolySyntaxError: t12: exponents span 100000000, more than 1048576 (at position 4)\n"),
+    ])
+    def test_span_budget_names_the_entry(self, capsys, entry, error):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "validate", "--t11", "0", "--t12", entry, "--t21", "1", "--t22", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == (error or "DetNotMonomial: determinant is 1 + u^1048576, not a single u^2a\n")
+        assert peak < 4 << 20
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="int() has no digit limit")
     def test_too_long_exponent_is_a_syntax_error(self, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     generator_entropy,
     letter_at,
     matrix_terms,
+    orbit_per_site,
     prefix_ranks,
     reference_rank,
     ring_translates,
@@ -430,8 +431,9 @@ class TestBitSlicedStep:
         sites = range(n_sites) if n_sites < 10 else (0, 1, 2, 31, 62, 63)
         cases = [(site, letter) for site in sites for letter in "XYZ"]
         fast = [mirror_time(rule, *case) for case in cases]
-        with mock.patch.object(finite_chain, "step", step_per_site):
+        with mock.patch.object(finite_chain, "orbit_masks", side_effect=orbit_per_site) as reference:
             assert fast == [mirror_time(rule, *case) for case in cases]
+        assert reference.call_count == len(cases)
 
     @pytest.mark.parametrize("n_sites, parity", [(7, "-2:Y"), (64, "5:Z"), (64, "-30:X")])
     def test_parity_table_pinned_to_reference(self, capsys, n_sites, parity):
@@ -439,10 +441,53 @@ class TestBitSlicedStep:
                 f"--parity={parity}", "--steps", str(2 * n_sites)]
         assert main(argv) == 0
         fast = capsys.readouterr().out
-        with mock.patch.object(finite_chain, "step", step_per_site):
+        with mock.patch.object(finite_chain, "orbit_masks", side_effect=orbit_per_site) as reference:
             assert main(argv) == 0
+        assert reference.call_count == 1
         assert fast == capsys.readouterr().out
         assert len(fast.splitlines()) == 2 * n_sites + 1
+
+
+class TestOrbitMasks:
+    """orbit_masks, the kernel under step, evolve_finite and cqca finite, against step_per_site
+    iterated (tests/oracles.py), phases included."""
+
+    @given(hst.integers(min_value=0, max_value=10**6),
+           hst.integers(min_value=0, max_value=5),
+           hst.integers(min_value=1, max_value=2),
+           hst.sampled_from(["open", "ring"]),
+           hst.integers(min_value=0, max_value=40),
+           hst.integers(min_value=0, max_value=24))
+    @settings(max_examples=80, deadline=None)
+    def test_random_rules(self, seed, word_length, shear_degree, boundary, extra, steps):
+        t = random_cqca(seed, word_length, shear_degree)
+        n_sites = 2 * t.matrix.max_entry_degree() + 1 + extra
+        try:
+            rule = truncate_rule(t, n_sites, boundary)
+        except BoundaryBreaksAutomorphism:
+            return
+        for rule in (rule, invert_rule(rule)):
+            op = random_operator(random.Random(seed), n_sites)
+            expected = list(orbit_per_site(rule, op, steps))
+            assert list(finite_chain.orbit_masks(rule, op, steps)) == expected
+            assert evolve_finite(rule, op, steps) == [FiniteOperator(n_sites, *image) for image in expected]
+
+    @pytest.mark.parametrize("t", [glider(), fractal()])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_open_chains_cross_their_ends(self, t, inverse):
+        # A Y at the first site walks into the bulk and out through both end pairs.
+        rule = truncate_rule(t, 9, "open")
+        rule = invert_rule(rule) if inverse else rule
+        assert rule.left and rule.right
+        op = FiniteOperator.single_site(rule.n_sites, 0, "Y")
+        images = list(finite_chain.orbit_masks(rule, op, 40))
+        assert images == list(orbit_per_site(rule, op, 40))
+        touched = {site for x, z, _ in images for site in range(rule.n_sites) if (x | z) >> site & 1}
+        assert {0, rule.n_sites - 1} <= touched
+
+    def test_negative_steps_rejected_by_evolve_finite(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            evolve_finite(truncate_rule(glider(), 7, "ring"), FiniteOperator.identity(7), -1)
 
 
 def gauss_jordan_inverse(columns, dim):
@@ -570,6 +615,9 @@ class TestMirrorTime:
         found = mirror_time(rule, 3, "Z")
         op = evolve_finite(rule, FiniteOperator.single_site(7, 3, "Z"), found)[-1]
         assert op.x_mask | op.z_mask == 1 << 3
+        # The search starts after one step, so step 0 never counts (values from the stepwise search).
+        assert [mirror_time(rule, 3, letter) for letter in "XYZ"] == [1, 8, 7]
+        assert [mirror_time(truncate_rule(fractal(), 9, "open"), 4, letter) for letter in "XYZ"] == [None, None, 1]
 
     def test_x_from_site_two_within_sixteen_steps(self):
         rule = truncate_rule(glider(), 7, "open")

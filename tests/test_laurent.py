@@ -1,10 +1,12 @@
 import itertools
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as hst
 
 from cqcalab.laurent import (
+    MAX_EXPONENT_SPAN,
     LaurentPoly,
     PolySyntaxError,
     clmul,
@@ -111,6 +113,34 @@ class TestParseRender:
         with pytest.raises(PolySyntaxError) as err:
             P(f"1 + u ^ -{digits}")
         assert (str(err.value), err.value.position) == ("exponent has too many digits (at position 9)", 9)
+
+    @pytest.mark.parametrize("lowest", [0, -MAX_EXPONENT_SPAN // 2, 10**30])
+    def test_span_budget(self, lowest):
+        # At the budget the mask is 2**20 + 1 bits; one past it, the error comes before any mask.
+        def parse_traced(text):
+            tracemalloc.start()
+            try:
+                return parse_poly(text), tracemalloc.get_traced_memory()[1]
+            except PolySyntaxError as exc:
+                return exc, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        top = lowest + MAX_EXPONENT_SPAN
+        p, peak = parse_traced(f"u^{lowest} + u^{lowest + 1} + u^{top}")
+        assert p == LaurentPoly.from_exponents([lowest, lowest + 1, top]) and p.degree_span() == (lowest, top)
+        assert peak < 1 << 20  # a few copies of the 128 KiB mask
+        exc, peak = parse_traced(f"u^{lowest} + u^{top + 1} + u^{lowest + 1}")
+        assert str(exc) == f"exponents span {MAX_EXPONENT_SPAN + 1}, more than {MAX_EXPONENT_SPAN} " \
+                           f"(at position {len(f'u^{lowest} + ')})"
+        assert peak < 1 << 14
+
+    def test_span_budget_counts_every_term(self):
+        # Each term stays within the budget of the first; the third widens the span past it.
+        text = f"u^{MAX_EXPONENT_SPAN // 2} + 1 + u^-{MAX_EXPONENT_SPAN // 2 + 1}"
+        with pytest.raises(PolySyntaxError) as err:
+            parse_poly(text)
+        assert err.value.position == text.index("u^-")
 
     def test_render_style(self):
         assert render_poly(P("u + u^-1 + 1")) == "u^-1 + 1 + u"

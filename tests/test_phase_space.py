@@ -5,6 +5,7 @@ from cqcalab.laurent import LaurentPoly, parse_poly
 from cqcalab.phase_space import (
     PhaseVector,
     format_observable,
+    letter_rows,
     parse_int,
     parse_observable,
     pauli_to_phase_space,
@@ -225,6 +226,23 @@ class TestLetters:
         x, z = data.draw(masks), data.draw(masks)
         v = PhaseVector(LaurentPoly(x), LaurentPoly(z))
         assert site_letters(x, z, width) == "".join(v.letter_at(s) for s in range(width))
+
+    @pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 9, 63, 64, 65, 1024])
+    @given(data=hst.data())
+    def test_letter_rows_against_site_letters(self, width, data):
+        # Rows of a block share one int per side: each must stay within its own bytes.
+        masks = hst.integers(min_value=0, max_value=(1 << width) - 1)
+        rows = data.draw(hst.lists(hst.tuples(masks, masks), max_size=9))
+        got = letter_rows([x for x, _ in rows], [z for _, z in rows], width)
+        assert got == [site_letters(x, z, width) for x, z in rows]
+        for (x, z), row in zip(rows, got[:2]):
+            v = PhaseVector(LaurentPoly(x), LaurentPoly(z))
+            assert row == "".join(v.letter_at(s) for s in range(width))
+
+    def test_letter_rows_of_full_and_empty_rows(self):
+        full = (1 << 12) - 1
+        assert letter_rows([full, 0, full, 0], [0, full, full, 0], 12) == ["X" * 12, "Z" * 12, "Y" * 12, "1" * 12]
+        assert letter_rows([], [], 5) == []
 
     def test_windows_cutting_the_support(self):
         v = pauli_to_phase_space("ZYX1Z", -3)  # sites -3..1
