@@ -10,11 +10,10 @@ with its dynamical class read off the trace.
 
 from __future__ import annotations
 
-import dataclasses
 import random as _random
 from typing import Iterator
 
-from .laurent import LaurentPoly, PolySyntaxError, clmul, gcd, parse_poly, render_poly, spread_bits
+from .laurent import LaurentPoly, PolySyntaxError, Record, clmul, gcd, parse_poly, render_poly, spread_bits
 from .phase_space import PhaseVector
 
 
@@ -46,22 +45,23 @@ class PureShift(CqcaValidationError):
     """The raw matrix is u**a times the identity, i.e. a bare lattice shift."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Periodic:
+class Periodic(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Periodic"
 
 
-@dataclasses.dataclass(frozen=True)
-class Glider:
-    speed: int
+class Glider(Record):
+    __slots__ = ("speed",)
 
     def __str__(self) -> str:
         return f"Glider({self.speed})"
 
 
-@dataclasses.dataclass(frozen=True)
-class Fractal:
+class Fractal(Record):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "Fractal"
 
@@ -69,14 +69,10 @@ class Fractal:
 ClassTag = Periodic | Glider | Fractal
 
 
-@dataclasses.dataclass(frozen=True)
-class CqcaMatrix:
+class CqcaMatrix(Record):
     """Raw, unvalidated 2x2 Laurent-polynomial matrix."""
 
-    t11: LaurentPoly
-    t12: LaurentPoly
-    t21: LaurentPoly
-    t22: LaurentPoly
+    __slots__ = ("t11", "t12", "t21", "t22")
 
     @classmethod
     def from_strings(cls, t11: str, t12: str, t21: str, t22: str) -> "CqcaMatrix":
@@ -131,12 +127,10 @@ def classify_trace(tr: LaurentPoly) -> ClassTag:
     return Fractal()
 
 
-@dataclasses.dataclass(frozen=True)
-class ValidatedCqca:
+class ValidatedCqca(Record):
     """A centered automaton matrix with its class tag."""
 
-    matrix: CqcaMatrix
-    class_tag: ClassTag
+    __slots__ = ("matrix", "class_tag")
 
     def apply(self, v: PhaseVector) -> PhaseVector:
         m = self.matrix

@@ -78,12 +78,15 @@ _BLOCK = 1 << 16  # bytes of output in one streamed block of a per-step table, a
 
 
 def _write_output(chunks: Iterable[bytes], path: str | None) -> None:
-    if path is None:
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
-    else:
+    if path is not None:
         with open(path, "wb") as handle:
             handle.writelines(chunks)
+        return
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stdout, such as io.StringIO; every table and ASCII diagram is ASCII
+        out, chunks = sys.stdout, (chunk.decode("ascii") for chunk in chunks)
+    out.writelines(chunks)
+    out.flush()
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -110,6 +113,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
+    if args.format == "ppm" and args.output is None and not hasattr(sys.stdout, "buffer"):
+        raise UsageError("stdout takes text only; write the PPM to a file with -o")
     t = _matrix_from_args(args)
     d = render.build_diagram(t, parse_observable(args.obs), args.steps)
     _write_output(render.emit_chunks(d, args.format), args.output)

@@ -16,13 +16,12 @@ rule's image of Y as -ZYZ.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable, Iterator, Literal, Sequence
 
 from . import stabilizer
 from .automaton import ValidatedCqca
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, Record
 from .phase_space import letter_rows, pauli_to_phase_space
 from .stabilizer import TIStabilizerState
 
@@ -46,20 +45,16 @@ class NotPure(ValueError):
         self.rank_deficit = rank_deficit
 
 
-@dataclasses.dataclass(frozen=True)
-class FiniteOperator:
+class FiniteOperator(Record):
     """A Pauli product on n_sites sites times i**phase_exp."""
 
-    n_sites: int
-    x_mask: int
-    z_mask: int
-    phase_exp: int = 0
+    __slots__ = ("n_sites", "x_mask", "z_mask", "phase_exp")
 
-    def __post_init__(self):
-        full = (1 << self.n_sites) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+    def __init__(self, n_sites: int, x_mask: int, z_mask: int, phase_exp: int = 0):
+        full = (1 << n_sites) - 1
+        if x_mask & ~full or z_mask & ~full:
             raise ValueError("operator support exceeds the chain")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        super().__init__(n_sites, x_mask, z_mask, phase_exp % 4)
 
     @classmethod
     def identity(cls, n_sites: int) -> "FiniteOperator":
@@ -120,8 +115,7 @@ def _rotated(mask: int, shift: int, n_sites: int, full: int) -> int:
     return ((mask << shift) | (mask >> (n_sites - shift))) & full
 
 
-@dataclasses.dataclass(frozen=True)
-class FiniteRule:
+class FiniteRule(Record):
     """An automaton on a finite chain: bulk, the ring image pair of site 0,
     rotated to each site but the stored pairs of sites 0..lo-1 (left) and
     hi..N-1 (right).  kernel = (lo, hi, phases, moves, pairs) is derived
@@ -132,30 +126,27 @@ class FiniteRule:
     of X sites of the image of letter u d sites on.
     """
 
-    n_sites: int
-    boundary: Boundary
-    bulk: Pair
-    left: tuple[Pair, ...] = ()
-    right: tuple[Pair, ...] = ()
-    kernel: tuple = dataclasses.field(init=False, repr=False, compare=False)
+    __slots__ = ("n_sites", "boundary", "bulk", "left", "right", "kernel")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        n, lo, hi = self.n_sites, len(self.left), self.n_sites - len(self.right)
+    def __init__(self, n_sites: int, boundary: Boundary, bulk: Pair,
+                 left: tuple[Pair, ...] = (), right: tuple[Pair, ...] = ()):
+        lo, hi = len(left), n_sites - len(right)
         if hi < lo:
             raise ValueError("end pairs cover more than the chain")
-        bits = [[list(LaurentPoly(m).exponents()) for m in (k.x_mask, k.z_mask)] for k in self.bulk]
+        bits = [[list(LaurentPoly(m).exponents()) for m in (k.x_mask, k.z_mask)] for k in bulk]
         moves = tuple((p, source, e) for source in (0, 1) for p in (0, 1) for e in bits[source][p])
         # Rotated images overlap according to their offset mod n alone; on a
         # short ring several bit pairs share an offset, so keep parities.
         pairs: set[tuple[int, int, int]] = set()
         for t, u in itertools.product((0, 1), repeat=2):
             for e, f in itertools.product(bits[t][1], bits[u][0]):
-                d = (e - f) % n
+                d = (e - f) % n_sites
                 # On one site the X factor comes first; run sites are < hi - lo apart.
                 if (d or (t, u) == (0, 1)) and d < hi - lo:
                     pairs ^= {(t, u, d)}
-        phases = tuple(k.phase_exp for k in self.bulk)
-        object.__setattr__(self, "kernel", (lo, hi, phases, moves, tuple(pairs)))
+        super().__init__(n_sites, boundary, bulk, left, right)
+        object.__setattr__(self, "kernel", (lo, hi, tuple(k.phase_exp for k in bulk), moves, tuple(pairs)))
 
     def images(self, site: int) -> Pair:
         """The images of X_site and Z_site: an end pair, or bulk rotated to the site."""

@@ -13,8 +13,8 @@ zeros), so equal polynomials compare equal structurally.
 
 from __future__ import annotations
 
-import dataclasses
 import re
+from operator import attrgetter
 from typing import Iterator
 
 
@@ -55,12 +55,48 @@ def _gcd_bits(a: int, b: int) -> int:
     return a
 
 
-@dataclasses.dataclass(init=False, frozen=True)
-class LaurentPoly:
+class Record:
+    """An immutable value, its fields its class's __slots__ (or _fields, to leave a slot out):
+    equal to a record of its class with equal fields, hashed and printed by its fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._key = attrgetter(*fields) if fields else type  # no fields: one class suffices
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+
+    def __init__(self, *values, **named):
+        setters = self._setters
+        if named:  # keywords bind to the fields after the positional values, in field order
+            values += tuple(named.pop(name) for name in self._fields[len(values):] if name in named)
+        if named or len(values) != len(setters):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for set_field, value in zip(setters, values):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class LaurentPoly(Record):
     """An F2-coefficient Laurent polynomial in the formal variable u."""
 
-    mask: int
-    min_exp: int
+    __slots__ = ("mask", "min_exp")
 
     def __init__(self, mask: int = 0, min_exp: int = 0):
         if mask < 0:

@@ -10,12 +10,11 @@ bookkeeping lives in :mod:`cqcalab.finite_chain`.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from itertools import repeat
 from typing import Sequence
 
-from .laurent import LaurentPoly, coefficient_dot, spread_bits
+from .laurent import LaurentPoly, Record, coefficient_dot, spread_bits
 
 # The letter of each site code x | z << 1; every letter table is read off it.
 _SITE_LETTERS = "1XZY"
@@ -62,12 +61,10 @@ def letter_rows(xs: Sequence[int], zs: Sequence[int], width: int) -> list[str]:
     return [text[k:k + width] for k in range(0, len(text), 8 * size)] if size else [""] * len(xs)
 
 
-@dataclasses.dataclass(frozen=True)
-class PhaseVector:
+class PhaseVector(Record):
     """Pair (xi_plus, xi_minus) of Laurent polynomials labeling a Pauli product."""
 
-    xi_plus: LaurentPoly
-    xi_minus: LaurentPoly
+    __slots__ = ("xi_plus", "xi_minus")
 
     @classmethod
     def zero(cls) -> "PhaseVector":

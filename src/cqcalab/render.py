@@ -15,11 +15,11 @@ padding, so output memory is one block at any height.  ``emit`` joins the blocks
 
 from __future__ import annotations
 
-import dataclasses
 from itertools import chain
 from typing import Iterator, Literal
 
 from .automaton import ValidatedCqca
+from .laurent import Record
 from .phase_space import PhaseVector
 
 # The output bytes of one cell, per code x | z << 1 (identity, X, Z, Y); PPM
@@ -29,14 +29,13 @@ _PPM = bytes((255, 255, 255, 255, 0, 0, 0, 0, 255, 0, 255, 0))
 _BLOCK = 1 << 14  # packed bytes per emitted block, rounded down to whole rows (at least one)
 
 
-@dataclasses.dataclass(frozen=True)
-class SpaceTimeDiagram:
+class SpaceTimeDiagram(Record):
     # Rows of row_bytes bytes; byte j of a row holds site left + 4j + i as bits 2i (x) and 2i + 1 (z).
-    packed: bytes
-    window: tuple[int, int]  # leftmost and rightmost site shown
+    __slots__ = ("packed", "window")  # window: the leftmost and rightmost site shown
 
-    def __post_init__(self):
-        if self.width < 1 or len(self.packed) % self.row_bytes:
+    def __init__(self, packed: bytes, window: tuple[int, int]):
+        super().__init__(packed, window)
+        if self.width < 1 or len(packed) % self.row_bytes:
             raise ValueError("packed must hold whole rows of a nonempty window")
 
     @property

@@ -14,13 +14,12 @@ until n grows by d = dg tr, then count n(t) = n(t0) + (t - t0) d (the rate theor
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .automaton import ValidatedCqca
-from .laurent import LaurentPoly, gcd
+from .laurent import LaurentPoly, Record, gcd
 from .phase_space import PhaseVector, symplectic_form
 
 
@@ -46,12 +45,10 @@ class CommonDivisor(StateValidationError):
         self.divisor = divisor
 
 
-@dataclasses.dataclass(frozen=True)
-class TIStabilizerState:
+class TIStabilizerState(Record):
     """Generator seed xi plus its half-length n (generator length 2n + 1)."""
 
-    xi: PhaseVector
-    n: int
+    __slots__ = ("xi", "n")
 
 
 def validate_state(v: PhaseVector) -> TIStabilizerState:

@@ -292,6 +292,35 @@ class TestStreamedFinite:
             assert run(capsys, *self.ARGV, *self.PARTS[2], *self.PARTS[1], *self.PARTS[0]) == together
 
 
+def run_text_stdout(argv):
+    """main(argv) with stdout an io.StringIO, a text stream with no .buffer."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestTextOnlyStdout:
+    @pytest.mark.parametrize("argv", [
+        "diagram glider --obs=Y@2 --steps 6",
+        "entangle fractal --steps 9 --region 4",
+        "finite fractal --sites 9 --origin=-4 --obs=XZ@0 --steps 5 --mirror=0:X --parity=2:Z",
+    ])
+    def test_streamed_output_is_written_as_text(self, capsys, argv):
+        expected = run(capsys, *argv.split())
+        assert expected[0] == 0 and expected[1]
+        assert run_text_stdout(argv.split()) == expected
+
+    def test_ppm_needs_a_file(self, tmp_path):
+        argv = ["diagram", "glider", "--steps", "6", "--format", "ppm"]
+        code, out, err = run_text_stdout(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and "-o" in err
+        target = tmp_path / "out.ppm"
+        assert run_text_stdout([*argv, "-o", str(target)]) == (0, "", "")
+        assert target.read_bytes().startswith(b"P6\n")
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; no call may leave state in it."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import operator
@@ -580,8 +579,10 @@ class TestInvertRule:
         rule = truncate_rule(t, 9, boundary)
         x_image, z_image = rule.images(0)
         for good, corrupt in [
-            (rule.bulk[0], lambda bad: dataclasses.replace(rule, bulk=(bad, rule.bulk[1]))),
-            (x_image, lambda bad: dataclasses.replace(rule, left=((bad, z_image),) + rule.left[1:])),
+            (rule.bulk[0], lambda bad: finite_chain.FiniteRule(
+                rule.n_sites, rule.boundary, (bad, rule.bulk[1]), rule.left, rule.right)),
+            (x_image, lambda bad: finite_chain.FiniteRule(
+                rule.n_sites, rule.boundary, rule.bulk, ((bad, z_image),) + rule.left[1:], rule.right)),
         ]:
             for bad in (good * FiniteOperator.single_site(9, 6, "Z"), FiniteOperator.identity(9)):
                 with pytest.raises(ValueError, match="not symplectic"):
