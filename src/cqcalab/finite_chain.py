@@ -5,8 +5,10 @@ ring image pair of site 0 plus the pairs of the at most r cut sites at
 each open end; a step (orbit_masks, under step and evolve_finite) maps
 the run between the ends in one bit-sliced pass and multiplies on the end
 images one by one, on raw (x_mask, z_mask, phase_exp) triples.  Ring entanglement is
-measured by F2 rank of generator matrices, an oracle independent of the
-symbolic closed forms.
+measured by F2 ranks, an oracle independent of the symbolic closed forms: a seed of width w
+is certified by the rank of its w - 1 wrap remainders, at most about w**2 / 2 steps on rows
+of w - 1 bits, in memory linear in N.  A seed that fails the certificate, or is wider than
+about half the ring, has its N wrapped translates eliminated instead.
 
 Convention: an operator is i**phase_exp times (product of X factors)
 times (product of Z factors), and the one-site images of X and Z are
@@ -342,25 +344,42 @@ def _check_ring_length(seed: TIStabilizerState, n_sites: int) -> None:
         raise ValueError("ring shorter than twice the generator length")
 
 
-def _ring_basis(seed: TIStabilizerState, n_sites: int) -> dict[int, int]:
-    """Echelon basis of the N wrapped translates, site s at bits 2s (X) and 2s + 1 (Z).
-
-    Translation invariance does the per-state work once: translates i and
-    j commute iff 0 and (j - i) mod N do, which can fail only when their
-    supports of width w overlap, min(d, N - d) <= w; and translate y is
-    the interleaved seed row rotated by 2y.  The translates must pairwise
-    commute and be independent (pure state): the basis must have N rows.
-    With the seed on sites 0..w-1, translates y <= N - w are row << 2y, each
-    keyed at its own lowest bit, so only the w - 1 that wrap are eliminated:
-    the keys of a lowest-bit echelon depend only on the span.
+def _checked_row(seed: TIStabilizerState, n_sites: int) -> tuple[int, int]:
+    """(row, w): the seed from its lowest site, site s at bits 2s (X) and 2s + 1 (Z), exponents
+    mod 2N, and its width, once checked: translate y is row rotated by 2y, and translates i and j
+    commute iff 0 and j - i do, which can fail only where supports overlap, min(d, N - d) < w.
     """
     n, full = n_sites, (1 << 2 * n_sites) - 1
-    row = _folded(LaurentPoly(seed.xi.frame()[0]), 2 * n)  # the seed from its lowest site, exponents mod 2N
+    row = _folded(LaurentPoly(seed.xi.frame()[0]), 2 * n)
     w = (row.bit_length() + 1) // 2
     swapped = (row & full // 3) << 1 | (row >> 1) & full // 3  # X and Z exchanged on every site
     for d in range(1, w):
         if (row & _rotated(swapped, 2 * d, 2 * n, full)).bit_count() % 2:
             raise GeneratorsDoNotCommute(f"translates 0 and {d} anticommute")
+    return row, w
+
+
+def _wrap_remainders(row: int, w: int) -> list[int]:
+    """D_1..D_(w-1): translate N - j, divided from the low end by translates 0..N-w (pivots on
+    P's bits, P the component set on site 0 and Q the other), is D_j / P on Q's bits of sites
+    0..N-w, where D_0 = 0 and D_(j+1) = (D_j + p_j Q + q_j P) / u exactly (D_1 = 0, so the
+    certificate fails, if a wrap of a seed wider than the ring has cleared site 0).
+    """
+    digits = format(row, f"0{2 * w}b")  # z, x digit pairs, top site first
+    x, z = int("0" + digits[1::2], 2), int("0" + digits[::2], 2)  # P, Q in either order: p_j Q + q_j P is symmetric
+    remainders = [0]
+    for j in range(w - 1):
+        remainders.append((remainders[-1] ^ (z if x >> j & 1 else 0) ^ (x if z >> j & 1 else 0)) >> 1)
+    return remainders[1:]
+
+
+def _ring_basis(row: int, w: int, n_sites: int) -> dict[int, int]:
+    """Echelon basis of the N wrapped translates of a _checked_row, which must have N rows (pure).
+
+    Translates y <= N - w are row << 2y, each keyed at its own lowest bit, so only the w - 1
+    that wrap are eliminated: the keys of a lowest-bit echelon depend only on the span.
+    """
+    n, full = n_sites, (1 << 2 * n_sites) - 1
     inside, low = n + 1 - w if row else 0, (row & -row).bit_length()  # translates 0..inside-1 do not wrap
     pivots = _echelon((_rotated(row, 2 * y, 2 * n, full) for y in range(inside, n)),
                       {low + 2 * y: row << 2 * y for y in range(inside)})
@@ -376,12 +395,17 @@ def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
     size.  Row operations keep the rank of every set of columns, and in
     echelon form (the clipped gauge of Nahum-Ruhman-Vijay-Haah) the
     columns of sites 0..L-1 have rank equal to the number of pivots on them.
+    If the w - 1 wrap remainders have full rank and 2w <= N + 2, the pivots are P's bits of
+    sites 0..N-w and Q's of sites 0..w-2, so S = min(L, w - 1, N - L); else N rows are eliminated.
     The ring must be at least twice the generator length so that wrapping
     cannot collapse generators onto each other.
     """
     _check_ring_length(seed, n_sites)
+    row, w = _checked_row(seed, n_sites)
+    if 2 * w <= n_sites + 2 and f2_rank(_wrap_remainders(row, w)) == w - 1:
+        return [*range(w - 1), *[w - 1] * (n_sites + 3 - 2 * w), *range(w - 2, -1, -1)]  # min(L, w - 1, N - L)
     per_site = [0] * n_sites
-    for low in _ring_basis(seed, n_sites):
+    for low in _ring_basis(row, w, n_sites):
         per_site[(low - 1) >> 1] += 1
     ranks = itertools.accumulate(per_site, initial=0)
     return [rank - size for size, rank in enumerate(ranks)]
@@ -426,5 +450,5 @@ def ring_state_entropy(
             raise ValueError(f"region site {site} is repeated")
         rest.remove(site)
     bits = sum(3 << 2 * site for site in region)
-    rows = _ring_basis(seed, n_sites).values()
+    rows = _ring_basis(*_checked_row(seed, n_sites), n_sites).values()
     return f2_rank([row & bits for row in rows]) - len(region)

@@ -106,6 +106,12 @@ class TestFiniteOperator:
         assert not x.commutes_with(z)
         assert x.commutes_with(FiniteOperator.single_site(3, 0, "Z"))
 
+    @pytest.mark.parametrize("n_sites", [0, 1, 5])
+    def test_support_past_the_chain_raises(self, n_sites):
+        for masks in ((1 << n_sites, 0), (0, 1 << n_sites)):
+            with pytest.raises(ValueError, match="^operator support exceeds the chain$"):
+                FiniteOperator(n_sites, *masks)
+
     def test_string_rendering(self):
         assert str(op7("11ZYZ11", phase=3)) == "-11ZYZ11"
         assert str(op7("X111111")) == "+X111111"
@@ -635,6 +641,11 @@ class TestGlobalYParity:
     def test_zxz(self):
         assert global_y_parity(op7("ZXZ1111")) == -1
 
+    def test_single_y_and_single_x(self):
+        # Y carries both an X and a Z factor, so it keeps its sign; X does not.
+        assert global_y_parity(FiniteOperator.single_site(3, 1, "Y")) == 1
+        assert global_y_parity(FiniteOperator.single_site(3, 1, "X")) == -1
+
 
 @hst.composite
 def f2_row_lists(draw):
@@ -693,6 +704,10 @@ class TestRingEntropy:
     def test_ring_too_short(self):
         with pytest.raises(ValueError):
             ring_state_entropy(S("YXXXXXY@-3"), 12, range(4))
+
+    def test_whole_ring_region_raises(self):
+        with pytest.raises(ValueError, match="^region must be a proper nonempty subset of the ring$"):
+            ring_state_entropy(S("ZXZ@-1"), 12, range(12))
 
     def test_translates_commute(self):
         rows = ring_translates(S("XZX@-1"), 10)
@@ -882,6 +897,43 @@ class TestRingOracleFastPath:
     def test_bad_region_site_is_named(self, region, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ring_state_entropy(S("ZXZ@-1"), 12, region)
+
+
+class TestRingOracleCertificate:
+    """The (w - 1)-row certificate: where it must decline, and its memory on a large ring."""
+
+    # ZXYXZ's components share 1 + u + u^2, so its 4 wrap remainders have rank 2, yet on 13
+    # and 14 sites (not multiples of 3) its translates are independent.  Z1X1Z is 5 sites
+    # wide, wider than (N + 2) / 2 on 6 and 7 sites, so its certificate is never taken.
+    @pytest.mark.parametrize("literal, half_length, n_sites, certificate_rank", [
+        ("ZXYXZ@-2", 2, 13, 2), ("ZXYXZ@-2", 2, 14, 2), ("Z1X1Z@-2", 1, 6, None), ("Z1X1Z@-2", 1, 7, None),
+    ])
+    def test_declined_certificate_matches_reference(self, literal, half_length, n_sites, certificate_rank):
+        state = TIStabilizerState(parse_observable(literal), half_length)
+        rows = reference_ring_rows(state, n_sites)
+        expected = [generator_entropy(rows, n_sites, range(size)) for size in range(n_sites + 1)]
+        with mock.patch.object(finite_chain, "f2_rank", wraps=finite_chain.f2_rank) as certificate, \
+                mock.patch.object(finite_chain, "_ring_basis", wraps=finite_chain._ring_basis) as fallback:
+            assert ring_entropy_profile(state, n_sites) == expected
+        assert fallback.call_count == 1
+        if certificate_rank is None:
+            assert not certificate.called
+        else:
+            (remainders,), _ = certificate.call_args
+            assert len(remainders) == 4 and reference_rank(remainders) == certificate_rank
+
+    def test_certified_profile_on_a_large_ring(self):
+        state, n_sites = evolve(all_spins_up(), glider(), 3)[-1], 16384
+        tracemalloc.start()
+        try:
+            with mock.patch.object(finite_chain, "_ring_basis") as fallback:
+                profile = ring_entropy_profile(state, n_sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fallback.called
+        assert profile == [min(size, 2 * state.n, n_sites - size) for size in range(n_sites + 1)]
+        assert peak < 2**20  # eliminating all N rows peaks at about 37.5 MB
 
 
 def orbit_states(seed, n_sites):

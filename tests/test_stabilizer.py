@@ -141,6 +141,9 @@ class TestClosedForms:
         assert tripartite_entanglement(S("YXXXXXY@-3"), 30) == 6
         assert tripartite_entanglement(S("YXXXXXY@-3"), 4) == 4
         assert tripartite_entanglement(all_spins_up(), 17) == 0
+        # L = 1, the smallest region allowed: min(2n, 1).
+        for state in (all_spins_up(), S("ZXZ@-1"), S("YXXXXXY@-3")):
+            assert tripartite_entanglement(state, 1) == min(2 * state.n, 1)
 
 
 class TestTrajectory:
