@@ -86,10 +86,10 @@ class CqcaMatrix(Record):
 
     def __matmul__(self, other: "CqcaMatrix") -> "CqcaMatrix":
         return CqcaMatrix(
-            self.t11 * other.t11 + self.t12 * other.t21,
-            self.t11 * other.t12 + self.t12 * other.t22,
-            self.t21 * other.t11 + self.t22 * other.t21,
-            self.t21 * other.t12 + self.t22 * other.t22,
+            _dot(self.t11, other.t11, self.t12, other.t21),
+            _dot(self.t11, other.t12, self.t12, other.t22),
+            _dot(self.t21, other.t11, self.t22, other.t21),
+            _dot(self.t21, other.t12, self.t22, other.t22),
         )
 
     def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
@@ -101,6 +101,15 @@ class CqcaMatrix(Record):
 
     def __str__(self) -> str:
         return "[[{}, {}], [{}, {}]]".format(*map(render_poly, self.entries()))
+
+
+def _dot(p: LaurentPoly, x: LaurentPoly, q: LaurentPoly, z: LaurentPoly) -> LaurentPoly:
+    """p*x + q*z, normalised once: a zero product takes the other's offset, so no shift is undone."""
+    px, qz = clmul(p.mask, x.mask), clmul(q.mask, z.mask)
+    e = p.min_exp + x.min_exp if px else q.min_exp + z.min_exp
+    f = q.min_exp + z.min_exp if qz else e
+    lo = min(e, f)
+    return LaurentPoly(px << e - lo ^ qz << f - lo, lo)
 
 
 def center(m: CqcaMatrix, a: int) -> CqcaMatrix:
@@ -133,11 +142,8 @@ class ValidatedCqca(Record):
     __slots__ = ("matrix", "class_tag")
 
     def apply(self, v: PhaseVector) -> PhaseVector:
-        m = self.matrix
-        return PhaseVector(
-            m.t11 * v.xi_plus + m.t12 * v.xi_minus,
-            m.t21 * v.xi_plus + m.t22 * v.xi_minus,
-        )
+        m, x, z = self.matrix, v.xi_plus, v.xi_minus
+        return PhaseVector(_dot(m.t11, x, m.t12, z), _dot(m.t21, x, m.t22, z))
 
     def orbit(self, v: PhaseVector, steps: int) -> Iterator[tuple[int, int]]:
         """Frames (c, base) of v, T v, ..., T**steps v, as in :meth:`PhaseVector.frame`.
@@ -187,35 +193,36 @@ class ValidatedCqca(Record):
         Cayley-Hamilton with det T = 1 gives T**2 = tr*T + I over F2, so
         every power is a*T + b*I.  Square-and-multiply runs on the pair
         (a, b) from T = (1, 0) over the bits of k after the leading one:
-        squaring maps it to (a**2*tr, a**2 + b**2), each square a Frobenius
-        bit-spread, and a factor T maps it to (a*tr + b, a).  a and b are
-        bare int masks, each with the exponent of its bit 0: a square doubles an
-        offset, a product with tr adds lo(tr), a sum takes the lower of the two.
-        No offset reads a mask, so a zero mask (a_k at even k if tr = 0) keeps
-        its place; a centred trace gives lo(a_k) = -(k-1)*d, lo(b_k) = -(k-2)*d.
+        squaring maps it to (a**2*tr, a**2 + b**2) and a factor T maps it to
+        (a*tr + b, a).  a and b are bare int masks at one shared offset lo
+        (each is u**lo times its mask).  a**2 and a**2 + b**2 = (a + b)**2 are
+        the two halves of one Frobenius bit-spread of a + (a + b) u**w, w the
+        width of a, so each bit of k costs one spread.  A centred trace starts
+        at u**-d, so a product with tr lowers lo by d and b is shifted up d
+        bits to match.  lo never reads a mask, so a zero mask (a_k at even k
+        if tr = 0) keeps its place: lo = lo(a_k) = -(k-1)*d = lo(b_k) - d.
         """
         if k < 0:
             raise ValueError("negative powers are not supported; use inverse()")
         if k == 0:
             return identity()
         tr = self.trace()
-        t, t_lo = tr.mask, tr.min_exp
-        a, a_lo, b, b_lo = 1, 0, 0, -t_lo  # T = 1*T + 0*I, b at lo(b_1) = -lo(tr)
+        t, d = tr.mask, -tr.min_exp
+        a, b, lo = 1, 0, 0  # T = 1*T + 0*I
         for bit in format(k, "b")[1:]:
-            a, b, lo = spread_bits(a), spread_bits(b), 2 * min(a_lo, b_lo)
-            a, a_lo, b, b_lo = clmul(a, t), 2 * a_lo + t_lo, a << 2 * a_lo - lo ^ b << 2 * b_lo - lo, lo
+            w = a.bit_length()
+            s = spread_bits((a ^ b) << w | a)
+            a, b, lo = clmul(s & (1 << 2 * w) - 1, t), s >> 2 * w << d, 2 * lo - d
             if bit == "1":
-                lo = min(a_lo + t_lo, b_lo)
-                a, a_lo, b, b_lo = clmul(a, t) << a_lo + t_lo - lo ^ b << b_lo - lo, lo, a, a_lo
+                a, b, lo = clmul(a, t) ^ b << d, a << d, lo - d
 
-        def entry(p: LaurentPoly, c: int) -> LaurentPoly:  # a*p + c, c being b or 0 at b's offset
-            lo = min(a_lo + p.min_exp, b_lo)
-            return LaurentPoly(clmul(a, p.mask) << a_lo + p.min_exp - lo ^ c << b_lo - lo, lo)
+        def entry(p: LaurentPoly, c: int) -> LaurentPoly:  # a*p + c, c being b or 0; a centred p has lo(p) <= 0
+            return LaurentPoly(clmul(a, p.mask) ^ c << -p.min_exp, lo + p.min_exp)
 
         m = self.matrix
         result = CqcaMatrix(entry(m.t11, b), entry(m.t12, 0), entry(m.t21, 0), entry(m.t22, b))
         # tr(a*T + b*I) = a*tr + 2b = a*tr over F2: no diagonal is re-added.
-        return ValidatedCqca(result, classify_trace(LaurentPoly(clmul(a, t), a_lo + t_lo)))
+        return ValidatedCqca(result, classify_trace(LaurentPoly(clmul(a, t), lo - d)))
 
     def inverse(self) -> "ValidatedCqca":
         # det = 1 after centering, so the adjugate (over F2) is the inverse.
@@ -314,23 +321,25 @@ def random_cqca(seed: int, word_length: int, max_shear_degree: int) -> Validated
     """Compose a deterministic random word of swaps and symmetric shears.
 
     Sampling generator words keeps every draw inside the automaton group,
-    where naive random entries would almost never validate.
+    where naive random entries would almost never validate.  The factors are
+    multiplied as raw matrices and the word is validated once.
     """
     if word_length < 0:
         raise ValueError("word_length must be nonnegative")
     if max_shear_degree < 1:
         raise ValueError("max_shear_degree must be positive")
     rng = _random.Random(seed)
-    result = identity()
+    one, zero = LaurentPoly.one(), LaurentPoly.zero()
+    result = CqcaMatrix(one, zero, zero, one)
     for _ in range(word_length):
         kind = rng.randrange(3)
         if kind == 0:
-            factor = swap()
+            factor = CqcaMatrix(zero, one, one, zero)
         else:
             p = _random_symmetric_poly(rng, max_shear_degree)
-            factor = shear(p) if kind == 1 else upper_shear(p)
+            factor = CqcaMatrix(one, zero, p, one) if kind == 1 else CqcaMatrix(one, p, zero, one)
         result = result @ factor
-    return result
+    return validate(result)
 
 
 def _random_symmetric_poly(rng: _random.Random, max_degree: int) -> LaurentPoly:

@@ -8,7 +8,9 @@ images one by one, on raw (x_mask, z_mask, phase_exp) triples.  Ring entanglemen
 measured by F2 ranks, an oracle independent of the symbolic closed forms: a seed of width w
 is certified by the rank of its w - 1 wrap remainders, at most about w**2 / 2 steps on rows
 of w - 1 bits, in memory linear in N.  A seed that fails the certificate, or is wider than
-about half the ring, has its N wrapped translates eliminated instead.
+about half the ring, has its N wrapped translates eliminated instead.  One elimination,
+_echelon, serves both: pivots keyed by their top bit in a list indexed by bit_length(), one
+lookup a step.
 
 Convention: an operator is i**phase_exp times (product of X factors)
 times (product of Z factors), and the one-site images of X and Z are
@@ -226,16 +228,16 @@ def orbit_masks(rule: FiniteRule, op: FiniteOperator, steps: int) -> Iterator[Tr
         b = (x & run, z & run)
         out = [0, 0]
         for part, source, shift in moves:
-            v = b[source] << shift
-            out[part] ^= v ^ (v >> n)
+            out[part] ^= b[source] << shift
         crossings = 0
         for t, u, d in pairs:
             crossings ^= b[t] & (b[u] >> d)
-        bulk = (out[0] & full, out[1] & full,
+        xs, zs = out  # a rotation wraps at most once: fold each sum, not each shift
+        bulk = ((xs ^ xs >> n) & full, (zs ^ zs >> n) & full,
                 phase + phases[0] * b[0].bit_count() + phases[1] * b[1].bit_count() + 2 * crossings.bit_count())
         if (x | z) & left:
             bulk = _mul(_times_ends((0, 0, 0), rule.left, x, z, 0), bulk)
-        x, z, phase = _times_ends(bulk, rule.right, x, z, hi)
+        x, z, phase = _times_ends(bulk, rule.right, x, z, hi) if rule.right else bulk  # a ring has no ends
         phase %= 4
     yield x, z, phase
 
@@ -309,19 +311,22 @@ def mirror_time(rule: FiniteRule, site: int, letter: str) -> int | None:
 # -- F2 linear algebra -------------------------------------------------
 
 
-def _echelon(rows: Iterable[int], pivots: dict[int, int]) -> dict[int, int]:
-    """Extend the echelon basis ``pivots`` (in place) by the rows; keys are lowest set bit (index + 1).
+def _echelon(rows: Iterable[int], pivots: list[int]) -> list[int]:
+    """Extend the echelon basis ``pivots`` (in place) by the rows, and return it.
 
-    Each pivot at a row's lowest bit clears that bit and changes only higher ones.
+    pivots[k] is 0 or the pivot whose top bit is bit k - 1: a row's bit_length() is its key, read
+    by one lookup a step, and the list must be longer than every row.  Each pivot clears its top
+    bit and changes only lower ones; a row reduced to 0 lands in pivots[0], which stays 0.
     """
     for v in rows:
-        while v:
-            low = (v & -v).bit_length()
-            if low not in pivots:
-                pivots[low] = v
-                break
-            v ^= pivots[low]
+        while pivot := pivots[top := v.bit_length()]:
+            v ^= pivot
+        pivots[top] = v
     return pivots
+
+
+def _rank(pivots: list[int]) -> int:
+    return len(pivots) - pivots.count(0)
 
 
 def f2_rank(rows: list[int]) -> int:
@@ -329,7 +334,7 @@ def f2_rank(rows: list[int]) -> int:
 
     Callers pass a list: perfbench's tracer counts rows by its length.
     """
-    return len(_echelon(rows, {}))
+    return _rank(_echelon(rows, [0] * (max(map(int.bit_length, rows), default=0) + 1)))
 
 
 # -- ring-state entropy oracle -----------------------------------------
@@ -373,18 +378,20 @@ def _wrap_remainders(row: int, w: int) -> list[int]:
     return remainders[1:]
 
 
-def _ring_basis(row: int, w: int, n_sites: int) -> dict[int, int]:
-    """Echelon basis of the N wrapped translates of a _checked_row, which must have N rows (pure).
+def _ring_basis(row: int, w: int, n_sites: int) -> list[int]:
+    """Echelon basis, as _echelon's list, of the N wrapped translates of a _checked_row, which must
+    have N rows (pure).
 
-    Translates y <= N - w are row << 2y, each keyed at its own lowest bit, so only the w - 1
-    that wrap are eliminated: the keys of a lowest-bit echelon depend only on the span.
+    Translates y <= N - w are row << 2y, each keyed at its own top bit, so only the w - 1
+    that wrap are eliminated: the keys of a top-bit echelon depend only on the span.
     """
-    n, full = n_sites, (1 << 2 * n_sites) - 1
-    inside, low = n + 1 - w if row else 0, (row & -row).bit_length()  # translates 0..inside-1 do not wrap
-    pivots = _echelon((_rotated(row, 2 * y, 2 * n, full) for y in range(inside, n)),
-                      {low + 2 * y: row << 2 * y for y in range(inside)})
-    if len(pivots) != n:
-        raise NotPure(n - len(pivots))
+    n, full, top = n_sites, (1 << 2 * n_sites) - 1, row.bit_length()
+    inside = n + 1 - w if row else 0  # translates 0..inside-1 do not wrap
+    pivots = [0] * (2 * n + 1)
+    pivots[top:top + 2 * inside:2] = [row << 2 * y for y in range(inside)]
+    deficit = n - _rank(_echelon((_rotated(row, 2 * y, 2 * n, full) for y in range(inside, n)), pivots))
+    if deficit:
+        raise NotPure(deficit)
     return pivots
 
 
@@ -393,10 +400,12 @@ def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
 
     S is the rank of the generators restricted to the region minus its
     size.  Row operations keep the rank of every set of columns, and in
-    echelon form (the clipped gauge of Nahum-Ruhman-Vijay-Haah) the
-    columns of sites 0..L-1 have rank equal to the number of pivots on them.
+    echelon form (the clipped gauge of Nahum-Ruhman-Vijay-Haah) keyed by
+    lowest bits the columns of sites 0..L-1 have rank equal to the number of pivots on them.
     If the w - 1 wrap remainders have full rank and 2w <= N + 2, the pivots are P's bits of
-    sites 0..N-w and Q's of sites 0..w-2, so S = min(L, w - 1, N - L); else N rows are eliminated.
+    sites 0..N-w and Q's of sites 0..w-2, so S = min(L, w - 1, N - L).  Else the N translates
+    are eliminated by _echelon, keyed by top bits: its pivots on the top L sites count their
+    rank, and S([0, L)) = S([N - L, N)) for the pure, translation-invariant state.
     The ring must be at least twice the generator length so that wrapping
     cannot collapse generators onto each other.
     """
@@ -404,10 +413,8 @@ def ring_entropy_profile(seed: TIStabilizerState, n_sites: int) -> list[int]:
     row, w = _checked_row(seed, n_sites)
     if 2 * w <= n_sites + 2 and f2_rank(_wrap_remainders(row, w)) == w - 1:
         return [*range(w - 1), *[w - 1] * (n_sites + 3 - 2 * w), *range(w - 2, -1, -1)]  # min(L, w - 1, N - L)
-    per_site = [0] * n_sites
-    for low in _ring_basis(row, w, n_sites):
-        per_site[(low - 1) >> 1] += 1
-    ranks = itertools.accumulate(per_site, initial=0)
+    basis = _ring_basis(row, w, n_sites)  # site s holds the pivots keyed 2s + 1 (X) and 2s + 2 (Z)
+    ranks = itertools.accumulate(((x > 0) + (z > 0) for x, z in zip(basis[-2::-2], basis[::-2])), initial=0)
     return [rank - size for size, rank in enumerate(ranks)]
 
 
@@ -450,5 +457,5 @@ def ring_state_entropy(
             raise ValueError(f"region site {site} is repeated")
         rest.remove(site)
     bits = sum(3 << 2 * site for site in region)
-    rows = _ring_basis(*_checked_row(seed, n_sites), n_sites).values()
-    return f2_rank([row & bits for row in rows]) - len(region)
+    rows = _ring_basis(*_checked_row(seed, n_sites), n_sites)
+    return f2_rank([row & bits for row in rows if row]) - len(region)

@@ -3,8 +3,9 @@
 A polynomial is stored as a Python-int bitset together with the exponent
 of its lowest-order term: bit k of ``mask`` is the coefficient of
 ``u**(min_exp + k)``.  Addition is XOR, multiplication a carry-less
-convolution, squaring a Frobenius bit-spread and gcd Euclid's algorithm
-on shifted XORs, so every operation is exact.
+convolution, squaring a Frobenius bit-spread (one translation of the
+mask's hex digits, each to a byte) and gcd Euclid's algorithm on shifted
+XORs, so every operation is exact.
 
 Canonical form: the zero polynomial is ``(mask=0, min_exp=0)``; any
 nonzero polynomial has bit 0 of the mask set (the offset absorbs trailing
@@ -30,20 +31,15 @@ def clmul(a: int, b: int) -> int:
     return acc
 
 
-# A nibble squared as a polynomial: its bits 0..3 moved to bits 0, 2, 4, 6.
-_SPREAD_NIBBLE = (0, 1, 4, 5, 16, 17, 20, 21, 64, 65, 68, 69, 80, 81, 84, 85)
-# Byte b -> its low (high) nibble squared: the low (high) byte of b squared.
-_SPREAD_LOW_NIBBLE = bytes(_SPREAD_NIBBLE[b & 15] for b in range(256))
-_SPREAD_HIGH_NIBBLE = bytes(_SPREAD_NIBBLE[b >> 4] for b in range(256))
+# Hex digit d -> d squared as a polynomial, one byte: its bits 0..3 moved to bits 0, 2, 4, 6.
+_SPREAD_HEX = bytes.maketrans(b"0123456789abcdef", bytes(int(f"{d:04b}", 4) for d in range(16)))
 
 
 def spread_bits(mask: int) -> int:
     """p(u) -> p(u**2) on a bitset, the square over F2 (Frobenius): bit k moves to bit 2k,
-    so each byte becomes two, one per nibble, by a translation."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    spread = bytearray(2 * len(raw))
-    spread[0::2], spread[1::2] = raw.translate(_SPREAD_LOW_NIBBLE), raw.translate(_SPREAD_HIGH_NIBBLE)
-    return int.from_bytes(spread, "little")
+    so each hex digit, top digit first, becomes one byte, by one translation."""
+    return int.from_bytes(mask.to_bytes((mask.bit_length() + 7) // 8, "big").hex().encode().translate(_SPREAD_HEX),
+                          "big")
 
 
 def _gcd_bits(a: int, b: int) -> int:
@@ -101,12 +97,12 @@ class LaurentPoly(Record):
     def __init__(self, mask: int = 0, min_exp: int = 0):
         if mask < 0:
             raise ValueError("coefficient mask must be nonnegative")
-        if mask:
+        if not mask:
+            min_exp = 0
+        elif not mask & 1:  # with bit 0 set, the mask is already canonical
             shift = (mask & -mask).bit_length() - 1
             mask >>= shift
             min_exp += shift
-        else:
-            min_exp = 0
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "min_exp", min_exp)
 

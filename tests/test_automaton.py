@@ -1,6 +1,10 @@
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as hst
 
+from cqcalab import automaton
 from cqcalab.automaton import (
     ColumnsNotCoprime,
     CqcaMatrix,
@@ -11,6 +15,7 @@ from cqcalab.automaton import (
     Glider,
     Periodic,
     PureShift,
+    _random_symmetric_poly,
     center,
     classify,
     fractal,
@@ -320,6 +325,17 @@ class TestPowerMaskKernel:
         k = data.draw(hst.sampled_from([k for k in KERNEL_EXPONENTS if k * max(t.trace_degree(), 1) <= 4097]))
         assert t.power(k) == _slow_power(t, k)
 
+    @pytest.mark.parametrize("name", ["fractal", "glider", "period3", "swap", "random"])
+    def test_apply_of_powers_against_matvec_oracle(self, name):
+        t = random_cqca(0, 3, 2) if name == "random" else TRACE_CLASSES[name]()
+        vectors = [parse_observable(text) for text in ("Z", "X", "XYZ@-4", "Y1Z@7")]
+        for k in (0, 1, 2, 3, 255, 256, 1023, 4096, 4097):
+            tk = t.power(k)
+            for v in vectors:
+                image = tk.apply(v)
+                expected = matvec_terms(matrix_terms(tk.matrix), (to_terms(v.xi_plus), to_terms(v.xi_minus)))
+                assert (to_terms(image.xi_plus), to_terms(image.xi_minus)) == expected, (k, v)
+
     @pytest.mark.parametrize("name, period", [("swap", 2), ("shear", 2), ("period3", 3)])
     def test_huge_exponents_of_periodic_automata(self, name, period):
         # 333 squarings: the offset of a zero mask must stay put, not double with every square.
@@ -383,6 +399,50 @@ class TestRandomCqca:
             revalidated = validate(t.matrix)
             assert revalidated.matrix == t.matrix
             assert revalidated.class_tag == t.class_tag
+
+    @pytest.mark.parametrize("word_length", [0, 1, 3, 6])
+    def test_matches_the_validated_chain(self, word_length):
+        for seed in range(3000):
+            assert random_cqca(seed, word_length, 2) == _validated_chain(seed, word_length, 2), seed
+
+    def test_validates_the_word_once(self):
+        with mock.patch.object(automaton, "validate", wraps=validate) as spy:
+            t = random_cqca(0, 6, 2)
+        (word,), _ = spy.call_args
+        assert spy.call_count == 1 and type(word) is CqcaMatrix and t == validate(word)
+
+    @pytest.mark.parametrize("seed, word_length, text", [
+        (0, 0, "ValidatedCqca(matrix=CqcaMatrix(t11=LaurentPoly('1'), t12=LaurentPoly('0'), t21=LaurentPoly('0'), "
+               "t22=LaurentPoly('1')), class_tag=Periodic())"),
+        (0, 1, "ValidatedCqca(matrix=CqcaMatrix(t11=LaurentPoly('1'), t12=LaurentPoly('0'), "
+               "t21=LaurentPoly('u^-2 + 1 + u^2'), t22=LaurentPoly('1')), class_tag=Periodic())"),
+        (0, 3, "ValidatedCqca(matrix=CqcaMatrix(t11=LaurentPoly('u^-2 + u^-1 + u + u^2'), "
+               "t12=LaurentPoly('u^-2 + u^-1 + 1 + u + u^2'), t21=LaurentPoly('u^-4 + u^-3 + u^-2 + 1 + u^2 + u^3 + u^4'), "
+               "t22=LaurentPoly('u^-4 + u^-3 + u^3 + u^4')), class_tag=Fractal())"),
+        (0, 6, "ValidatedCqca(matrix=CqcaMatrix(t11=LaurentPoly('u^-4 + u^-3 + u^3 + u^4'), "
+               "t12=LaurentPoly('u^-6 + u^-5 + 1 + u^5 + u^6'), "
+               "t21=LaurentPoly('u^-6 + u^-5 + u^-4 + u^-3 + u^-1 + 1 + u + u^3 + u^4 + u^5 + u^6'), "
+               "t22=LaurentPoly('u^-8 + u^-7 + u^-6 + u^-5 + u^-3 + u^3 + u^5 + u^6 + u^7 + u^8')), class_tag=Fractal())"),
+        (2999, 6, "ValidatedCqca(matrix=CqcaMatrix(t11=LaurentPoly('u^-1 + u'), t12=LaurentPoly('1'), "
+                  "t21=LaurentPoly('1'), t22=LaurentPoly('0')), class_tag=Glider(speed=1))"),
+    ])
+    def test_pinned_reprs(self, seed, word_length, text):
+        assert repr(random_cqca(seed, word_length, 2)) == text
+
+
+def _validated_chain(seed, word_length, max_shear_degree):
+    """random_cqca's word as a chain of validated factors, each product classified, as first written."""
+    rng = random.Random(seed)
+    result = identity()
+    for _ in range(word_length):
+        kind = rng.randrange(3)
+        if kind == 0:
+            factor = swap()
+        else:
+            p = _random_symmetric_poly(rng, max_shear_degree)
+            factor = shear(p) if kind == 1 else upper_shear(p)
+        result = result @ factor
+    return result
 
 
 class TestGroupProperties:

@@ -649,8 +649,8 @@ class TestGlobalYParity:
 
 @hst.composite
 def f2_row_lists(draw):
-    """Bitset rows up to 300 bits wide, with zero rows, repeats and sums of drawn rows mixed in."""
-    width = draw(hst.sampled_from([1, 8, 64, 129, 300]))
+    """Bitset rows up to 600 bits wide, with zero rows, repeats and sums of drawn rows mixed in."""
+    width = draw(hst.sampled_from([1, 8, 64, 129, 300, 600]))
     drawn = draw(hst.lists(hst.integers(min_value=0, max_value=(1 << width) - 1), max_size=10))
     rows = list(drawn)
     for kind in draw(hst.lists(hst.sampled_from(["zero", "repeat", "sum"]), max_size=6)):
@@ -678,6 +678,27 @@ class TestF2Rank:
     ])
     def test_known_ranks(self, rows, rank):
         assert f2_rank(rows) == reference_rank(rows) == rank
+
+    @given(f2_row_lists())
+    def test_echelon_keys_match_a_top_bit_pass(self, rows):
+        pivots = finite_chain._echelon(rows, [0] * 602)
+        keys = {k - 1 for k, pivot in enumerate(pivots) if pivot}
+        assert keys == top_bit_keys(rows)
+        assert all(pivot.bit_length() == k for k, pivot in enumerate(pivots) if pivot)
+        assert f2_rank(rows) == reference_rank(rows) == len(keys)
+
+
+def top_bit_keys(rows):
+    """The top bits of an echelon basis of the rows: each row is scanned from its top bit down and
+    reduced by the pivot of every set bit that has one, as a separate pass from _echelon's."""
+    basis = {}
+    for row in rows:
+        for bit in reversed(range(row.bit_length())):
+            if row >> bit & 1 and bit in basis:
+                row ^= basis[bit]
+        if row:
+            basis[row.bit_length() - 1] = row
+    return set(basis)
 
 
 class TestRingEntropy:

@@ -1,9 +1,10 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from cqcalab.laurent import (
     MAX_EXPONENT_SPAN,
@@ -232,6 +233,66 @@ class TestSquaredAndPow:
     def test_spread_bits_of_zero(self):
         assert spread_bits(0) == 0
         assert LaurentPoly.zero().squared() == LaurentPoly.zero()
+
+
+def spread_per_bit(mask: int) -> int:
+    """Bit k to bit 2k, one binary digit at a time: a 0 digit goes between each two."""
+    return int("0".join(format(mask, "b")), 2)
+
+
+class TestSpreadKernel:
+    """spread_bits's one translation of the hex digits against a per-bit reference."""
+
+    def test_every_mask_below_two_to_the_sixteen(self):
+        for mask in range(1 << 16):
+            assert spread_bits(mask) == spread_per_bit(mask), mask
+
+    @pytest.mark.parametrize("n_bytes", [1, 2, 3, 7, 8, 9, 63, 64, 65, 255, 1023, 1024, 1025, 4095, 4096])
+    @pytest.mark.parametrize("top_digit", ["zero", "nonzero"])
+    def test_random_masks(self, n_bytes, top_digit):
+        rng = random.Random(n_bytes)
+        for _ in range(4):
+            mask = rng.getrandbits(8 * n_bytes - 4) | 1 << 8 * n_bytes - 5  # top hex digit 0
+            if top_digit == "nonzero":
+                mask |= rng.randrange(1, 16) << 8 * n_bytes - 4
+            digits = mask.to_bytes(n_bytes, "big").hex()  # the digits spread_bits translates
+            assert (digits[0] == "0") == (top_digit == "zero")
+            assert spread_bits(mask) == spread_per_bit(mask)
+
+    @given(hst.binary(min_size=1, max_size=4096))
+    @settings(max_examples=60, deadline=None)
+    def test_against_per_bit_reference(self, raw):
+        mask = int.from_bytes(raw, "big")
+        assert spread_bits(mask) == spread_per_bit(mask)
+
+
+class TestCanonicalForm:
+    """LaurentPoly(mask, e) shifts the trailing zeros of the mask into the offset, and no more."""
+
+    @staticmethod
+    def shifted_out(mask, min_exp):
+        if not mask:
+            return 0, 0
+        while not mask & 1:
+            mask, min_exp = mask >> 1, min_exp + 1
+        return mask, min_exp
+
+    @given(hst.integers(min_value=0, max_value=1 << 600),
+           hst.integers(min_value=0, max_value=130),
+           hst.integers(min_value=-500, max_value=500))
+    def test_against_shifting_out_trailing_zeros(self, core, zeros, min_exp):
+        for mask in (0, core, 2 * core + 1, (2 * core + 1) << zeros, core << zeros):
+            p = LaurentPoly(mask, min_exp)
+            assert (p.mask, p.min_exp) == self.shifted_out(mask, min_exp)
+
+    @pytest.mark.parametrize("mask, min_exp, canonical", [
+        (0, 7, (0, 0)), (0, -3, (0, 0)), (1, -3, (1, -3)), (5, 2, (5, 2)), (10, 2, (5, 3)),
+        (1 << 100, -100, (1, 0)), ((1 << 300) + (1 << 64), 0, ((1 << 236) + 1, 64)),
+    ])
+    def test_zero_odd_and_even_masks(self, mask, min_exp, canonical):
+        p = LaurentPoly(mask, min_exp)
+        assert (p.mask, p.min_exp) == canonical
+        assert p == LaurentPoly(*canonical)
 
 
 class TestDegreeSpan:

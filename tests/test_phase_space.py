@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as hst
+from hypothesis import given, settings, strategies as hst
 
 from cqcalab.laurent import LaurentPoly, parse_poly
 from cqcalab.phase_space import (
@@ -118,6 +118,18 @@ class TestFrame:
             assert [(c >> 2 * k) & 3 for k in range(hi - lo + 1)] == [
                 "1XZY".index(v.letter_at(site)) for site in range(lo, hi + 1)
             ]
+
+    @given(hst.binary(max_size=4096), hst.binary(max_size=4096),
+           hst.integers(min_value=-300, max_value=300), hst.integers(min_value=-300, max_value=300))
+    @settings(max_examples=40, deadline=None)
+    def test_wide_round_trip(self, x, z, x_lo, z_lo):
+        # Components of up to 4 KB: frame spreads each by spread_bits, from_frame splits the digits.
+        v = PhaseVector(LaurentPoly(int.from_bytes(x, "little"), x_lo), LaurentPoly(int.from_bytes(z, "little"), z_lo))
+        c, base = v.frame()
+        assert PhaseVector.from_frame(c, base) == v
+        width = c.bit_length() // 2 + 1
+        x_bits, z_bits = (format(p.coefficients(base, width), f"0{width}b") for p in (v.xi_plus, v.xi_minus))
+        assert c == int("".join(zd + xd for zd, xd in zip(z_bits, x_bits)), 2)  # bits 2k, 2k + 1: site base + k
 
     @given(components, components, hst.integers(min_value=0, max_value=70))
     def test_from_frame_reads_any_base(self, x, z, pad):
