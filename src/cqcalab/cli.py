@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import chain, count, cycle, islice
+from itertools import chain, cycle, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import automaton, finite_chain, render, stabilizer
@@ -22,7 +22,7 @@ from .finite_chain import (
     NotPure,
 )
 from .laurent import PolySyntaxError, render_poly
-from .phase_space import PhaseVector, parse_int, parse_observable
+from .phase_space import frame_cells, parse_int, parse_observable
 from .stabilizer import StateValidationError
 
 
@@ -105,10 +105,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _literals(block: list) -> list:
+    """format_observable of each frame of a block as columns: the support's letters, then @lo unless 0."""
+    lows = [b + ((c & -c).bit_length() - 1) // 2 if c else 0 for c, b in block]
+    widths = [b + (c.bit_length() + 1) // 2 - lo if c else 1 for (c, b), lo in zip(block, lows)]
+    letters = [view[:w] for view, w in zip(frame_cells(block, lows, max(widths), b"1XZY"), widths)]
+    return [letters, [b"@%d" % lo if lo else b"" for lo in lows]]
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
     t = _matrix_from_args(args)
-    for k, frame in enumerate(t.orbit(parse_observable(args.obs), args.steps)):
-        print(f"{k}\t{PhaseVector.from_frame(*frame)}")
+    _write_output(_table(t.orbit(parse_observable(args.obs), args.steps), _BLOCK, b"%d\t%b%b\n", _literals), None)
     return 0
 
 
@@ -189,14 +196,14 @@ def _parse_site_letter(flag: str, text: str, origin: int, n_sites: int) -> tuple
     return site - origin, letter
 
 
-def _table(rows: Iterator, row_bytes: int, label: Callable[[list], list[str]]) -> Iterator[bytes]:
-    """Lines "k<TAB>label" of rows 0, 1, ..., labelled one block of about _BLOCK bytes at a time."""
-    size = max(1, _BLOCK // row_bytes)
-    for start in count(0, size):
-        block = list(islice(rows, size))
-        if not block:
-            return
-        yield "".join(map("%d\t%s\n".__mod__, zip(count(start), label(block)))).encode("ascii")
+def _table(rows: Iterator, line_bytes: int, fmt: bytes, columns: Callable[[list], list]) -> Iterator[bytes]:
+    """Lines fmt % (k, fields) of rows 0, 1, ..., fields from the columns of a block (indexed by row); blocks
+    of at most 256 rows, about _BLOCK bytes at ``line_bytes`` a line, then at the last block's mean."""
+    start = 0
+    while block := list(islice(rows, min(256, _BLOCK // line_bytes + 1))):
+        text = _rows(fmt, 0, len(block), range(start, start + len(block)), *columns(block))
+        yield text
+        start, line_bytes = start + len(block), len(text) // len(block)
 
 
 def _cmd_finite(args: argparse.Namespace) -> int:
@@ -219,21 +226,17 @@ def _cmd_finite(args: argparse.Namespace) -> int:
             if lo < origin or hi >= origin + args.sites:
                 off = lo if lo < origin else max(lo, origin + args.sites)
                 raise UsageError(f"observable site {off} falls off the chain")
-        op = FiniteOperator.hermitian(
-            args.sites,
-            v.xi_plus.coefficients(origin, args.sites),
-            v.xi_minus.coefficients(origin, args.sites),
-        )
-        orbit = finite_chain.orbit_masks(rule, op, args.steps)
-        parts.append(_table(orbit, args.sites + 16, lambda block: finite_chain.labels(block, args.sites)))
+        masks = (v.xi_plus.coefficients(origin, args.sites), v.xi_minus.coefficients(origin, args.sites))
+        orbit = finite_chain.orbit_masks(rule, FiniteOperator.hermitian(args.sites, *masks), args.steps)
+        parts.append(_table(orbit, args.sites + 16, b"%d\t%b%b\n", lambda rows: finite_chain.labels(rows, args.sites)))
     if mirror is not None:
         found = finite_chain.mirror_time(rule, *mirror)
         result = f"not mirrored within {2 * args.sites + 2} steps" if found is None else f"step {found}"
         parts.append([f"mirror {args.mirror}: {result}\n".encode()])
     if parity is not None:
         orbit = finite_chain.orbit_masks(rule, FiniteOperator.single_site(args.sites, *parity), args.steps)
-        # global_y_parity of each row: -1 for an odd number of X and Z factors.
-        parts.append(_table(orbit, 16, lambda block: [("+1", "-1")[(x ^ z).bit_count() & 1] for x, z, _ in block]))
+        signs = lambda block: [[(b"+1", b"-1")[finite_chain.y_parity_bit(x, z)] for x, z, _ in block]]
+        parts.append(_table(orbit, 16, b"%d\t%b\n", signs))
     if parts:
         _write_output(chain.from_iterable(parts), None)
     else:

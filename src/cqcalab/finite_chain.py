@@ -25,14 +25,14 @@ from typing import Iterable, Iterator, Literal, Sequence
 
 from . import stabilizer
 from .automaton import ValidatedCqca
-from .laurent import LaurentPoly, Record
-from .phase_space import letter_rows, pauli_to_phase_space
+from .laurent import LaurentPoly, Record, spread_bits
+from .phase_space import cell_rows, pauli_to_phase_space
 from .stabilizer import TIStabilizerState
 
 Boundary = Literal["open", "ring"]
 Pair = tuple["FiniteOperator", "FiniteOperator"]  # the images of X_s and Z_s
 Triple = tuple[int, int, int]  # (x_mask, z_mask, phase_exp) of an operator
-_SIGNS = ("+", "+i", "-", "-i")  # i**k relative to the Hermitian product
+_SIGNS = (b"+", b"+i", b"-", b"-i")  # i**k relative to the Hermitian product
 
 
 class BoundaryBreaksAutomorphism(ValueError):
@@ -91,19 +91,30 @@ class FiniteOperator(Record):
         return ((self.x_mask & other.z_mask) ^ (self.z_mask & other.x_mask)).bit_count() % 2 == 0
 
     def __str__(self) -> str:
-        return labels([self.triple()], self.n_sites)[0]
+        (sign,), (letters,) = labels([self.triple()], self.n_sites)
+        return str(sign + letters, "ascii")
 
 
-def labels(rows: Sequence[Triple], n_sites: int) -> list[str]:
-    """str of the operator of each (x_mask, z_mask, phase_exp): its sign relative to
-    the Hermitian product, then its letters, read for all rows by one letter_rows."""
-    letters = letter_rows([x for x, _, _ in rows], [z for _, z, _ in rows], n_sites)
-    return [_SIGNS[(p - (x & z).bit_count()) % 4] + word for (x, z, p), word in zip(rows, letters)]
+def labels(rows: Sequence[Triple], n_sites: int) -> tuple[list[bytes], list[memoryview]]:
+    """The str of each (x_mask, z_mask, phase_exp) as ASCII columns: signs relative to the Hermitian
+    product, and letters.  Each side's rows laid end to end, whole bytes a row, are one int; the
+    Frobenius interleave x(u**2) + u z(u**2) of the two is the block packed for cell_rows."""
+    size = (n_sites + 7) // 8 or 1
+    x, z = (int.from_bytes(b"".join([mask.to_bytes(size, "little") for mask in masks]), "little")
+            for masks in ([x for x, _, _ in rows], [z for _, z, _ in rows]))
+    packed = (spread_bits(x) | spread_bits(z) << 1).to_bytes(2 * size * len(rows), "little")
+    signs = [_SIGNS[(p - (x & z).bit_count()) % 4] for x, z, p in rows]
+    return signs, cell_rows(packed, 2 * size, n_sites, b"1XZY")
+
+
+def y_parity_bit(x_mask: int, z_mask: int) -> int:
+    """1 iff conjugation by Y on every site flips the sign: an odd number of X and Z factors."""
+    return (x_mask ^ z_mask).bit_count() & 1
 
 
 def global_y_parity(op: FiniteOperator) -> int:
     """Sign gained under conjugation by Y on every site: one -1 per X or Z factor."""
-    return -1 if (op.x_mask ^ op.z_mask).bit_count() % 2 else 1
+    return 1 - 2 * y_parity_bit(op.x_mask, op.z_mask)
 
 
 def _folded(p: LaurentPoly, n_sites: int) -> int:

@@ -6,13 +6,16 @@ Z-component marks sites carrying Z or Y.  The symplectic form on these
 pairs is 0 for commuting operators and 1 for anticommuting ones, which
 is all the commutation information the symbolic layer needs; exact phase
 bookkeeping lives in :mod:`cqcalab.finite_chain`.
+
+One kernel writes every per-step text output: :func:`frame_cells` packs a block of frames, and
+:func:`cell_rows` writes its cells (diagrams, ``cqca finite``, ``cqca evolve``, ``letters``).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from typing import Sequence
+from functools import cache
+from typing import Iterable
 
 from .laurent import LaurentPoly, Record, coefficient_dot, spread_bits
 
@@ -20,45 +23,36 @@ from .laurent import LaurentPoly, Record, coefficient_dot, spread_bits
 _SITE_LETTERS = "1XZY"
 # Letter -> its code as a base-4 digit: a letter string, last letter first, is a frame in base 4.
 _CODE_DIGIT = str.maketrans(_SITE_LETTERS, "0123")
-# Byte 144 + code -> the letter of the code; see site_letters.
-_CODE_BYTE_LETTER = bytes.maketrans(bytes(range(144, 148)), _SITE_LETTERS.encode("ascii"))
-# Byte b of a Frobenius interleave -> the letter of its site i, the code (b >> 2i) & 3: each
-# letter's run of 4**i bytes, 4**(3 - i) times; see letter_rows.
-_QUARTER_LETTER = [b"".join(bytes([c]) * 4**i for c in _SITE_LETTERS.encode("ascii")) * 4 ** (3 - i) for i in range(4)]
 _INT = re.compile("[+-]?[0-9]+")
 
 
-def site_letters(x_mask: int, z_mask: int, width: int) -> str:
-    """Letters of sites 0..width-1, site 0 first; bit k of each mask is site k.
-
-    Both masks must fit in ``width`` bits.  Each mask's binary digits are
-    read as one big-endian int, one byte 48 + bit a site, so byte k of
-    x + 2z is 144 + the code of site k, with no carries: a whole row costs
-    a few byte operations instead of one table lookup per site.
-    """
-    if not width:
-        return ""  # format(0, "00b") is "0", one digit too many
-    x, z = (int.from_bytes(format(mask, f"0{width}b").encode("ascii"), "big") for mask in (x_mask, z_mask))
-    return (x + 2 * z).to_bytes(width, "little").translate(_CODE_BYTE_LETTER).decode("ascii")
+@cache
+def _tables(symbols: bytes) -> list[bytes]:
+    # Site position i of a byte, cell byte j: byte b -> byte j of the cell of code (b >> 2i) & 3.
+    c = len(symbols) // 4
+    return [b"".join(symbols[c * code + j:c * code + j + 1] * 4**i for code in range(4)) * 4 ** (3 - i)
+            for i in range(4) for j in range(c)]
 
 
-def letter_rows(xs: Sequence[int], zs: Sequence[int], width: int) -> list[str]:
-    """site_letters of each row (x, z) of a block, in one pass over the block.
+def cell_rows(packed: bytes, row_bytes: int, width: int, symbols: bytes) -> list[memoryview]:
+    """The cells of sites 0..width-1 of each row of ``packed``, rows of ``row_bytes`` >= 1 bytes with
+    site 4j + i as code x | z << 1 in bits 2i, 2i + 1 of byte j; code k's cell is quarter k of ``symbols``.
+    One translation per site position and cell byte writes the whole block."""
+    c = len(symbols) // 4
+    cells = bytearray(4 * c * len(packed))
+    for k, table in enumerate(_tables(symbols)):
+        cells[k::4 * c] = packed.translate(table)
+    view = memoryview(cells)
+    return [view[k:k + c * width] for k in range(0, len(cells), 4 * c * row_bytes)]
 
-    Each side's rows are laid end to end, one whole number of bytes a row, as
-    one int; the Frobenius interleave x(u**2) + u z(u**2) of the two holds 4
-    sites a byte as x | z << 1, and one translation per site position of a
-    byte writes the letters of the block, as diagrams are rendered.
-    """
-    size = (width + 7) // 8
-    x, z = (int.from_bytes(b"".join(map(int.to_bytes, rows, repeat(size), repeat("little"))), "little")
-            for rows in (xs, zs))
-    packed = (spread_bits(x) | spread_bits(z) << 1).to_bytes(2 * size * len(xs), "little")
-    cells = bytearray(4 * len(packed))
-    for i, table in enumerate(_QUARTER_LETTER):
-        cells[i::4] = packed.translate(table)
-    text = cells.decode("ascii")
-    return [text[k:k + width] for k in range(0, len(text), 8 * size)] if size else [""] * len(xs)
+
+def frame_cells(frames: Iterable[tuple[int, int]], lefts: Iterable[int], width: int, symbols: bytes) -> list:
+    """cell_rows of frames (c, base) packed at ``width``, the block's widest row, each from the
+    site its left names; a frame must be the identity from left + width on."""
+    size = (width + 3) // 4 or 1
+    packed = b"".join([(c << 2 * (b - left) if b >= left else c >> 2 * (left - b)).to_bytes(size, "little")
+                       for (c, b), left in zip(frames, lefts)])
+    return cell_rows(packed, size, width, symbols)
 
 
 class PhaseVector(Record):
@@ -101,13 +95,10 @@ class PhaseVector(Record):
         return _SITE_LETTERS[self.xi_plus.coefficient(site) | self.xi_minus.coefficient(site) << 1]
 
     def letters(self, lo: int, hi: int) -> str:
-        """The letters on sites lo..hi (inclusive ends), lo first."""
+        """The letters on sites lo..hi (inclusive ends), lo first: the kernel's one-row call."""
         width = hi - lo + 1
-        return site_letters(
-            self.xi_plus.coefficients(lo, width),
-            self.xi_minus.coefficients(lo, width),
-            width,
-        )
+        c = spread_bits(self.xi_plus.coefficients(lo, width)) | spread_bits(self.xi_minus.coefficients(lo, width)) << 1
+        return str(frame_cells([(c, lo)], [lo], width, b"1XZY")[0], "ascii")
 
     def restricted(self, lo: int) -> "PhaseVector":
         """Keep only the tensor factors on sites lo and to its right."""

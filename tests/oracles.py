@@ -117,6 +117,11 @@ def diagram_per_cell(matrix, vector, steps, format):
     rows = [vector]
     for _ in range(steps):
         rows.append(matvec_terms(matrix, rows[-1]))
+    return rows_per_cell(rows, format)
+
+
+def rows_per_cell(rows, format):
+    """The ASCII or PPM diagram of given rows (X term set, Z term set), on the same window."""
     sites = set().union(*(set(x) | set(z) for x, z in rows))
     left, right = (min(sites) - 1, max(sites) + 1) if sites else (-1, 1)
     out = bytearray()

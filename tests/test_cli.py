@@ -12,7 +12,7 @@ from cqcalab.automaton import CqcaMatrix, fractal, glider, identity, random_cqca
 from cqcalab.cli import main
 from cqcalab.finite_chain import FiniteOperator, truncate_rule
 from cqcalab.laurent import render_poly
-from cqcalab.phase_space import format_observable, parse_observable
+from cqcalab.phase_space import PhaseVector, format_observable, parse_observable
 from cqcalab.stabilizer import entanglement_trajectory, trajectory_csv, validate_state
 from oracles import letter_at, orbit_per_site
 
@@ -112,6 +112,48 @@ class TestEvolve:
         code, out, _ = run(capsys, "evolve", "fractal", "--obs", "X@57", "--steps", "3")
         assert code == 0
         assert out == "0\tX@57\n1\tXYX@56\n2\tXZZZX@55\n3\tXY1X1YX@54\n"
+
+    def test_identity_rows(self, capsys):
+        assert run(capsys, "evolve", "glider", "--obs", "1@7", "--steps", "2") == (0, "0\t1\n1\t1\n2\t1\n", "")
+
+    # Digests of the output when each row was printed on its own, through format_observable.
+    @pytest.mark.parametrize("argv, digest", [
+        ("evolve fractal --obs Z --steps 4000",
+         "ddc10f411485537045a59a81c13569dde97b0fcf6024111a62e167490bee9687"),
+        ("evolve glider --obs XZY@-3 --steps 4000",
+         "dd331b55c69cc82caee3b6a667827718644d24c6fe64b50304351dfb49773631"),
+        ("evolve fractal --obs Y@5 --steps 300",
+         "a7b915cfc81c994de28e063caea659aecdb51670c5dcc04ef3b92f0fe4bd8b81"),
+    ])
+    def test_pinned_digests(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @given(
+        hst.builds(
+            random_cqca,
+            seed=hst.integers(min_value=0, max_value=10**9),
+            word_length=hst.integers(min_value=0, max_value=5),
+            max_shear_degree=hst.integers(min_value=1, max_value=2),
+        ),
+        hst.one_of(
+            hst.sampled_from(["1", "1@7", "1@-100", "Z", "X@1", "Y@-1"]),
+            hst.builds("{}@{}".format, hst.text(alphabet="1XYZ", min_size=1, max_size=8),
+                       hst.integers(min_value=-100, max_value=100)),
+        ),
+        hst.integers(min_value=0, max_value=40),
+        hst.sampled_from([1, 7, 64, 1 << 16]),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_streamed_rows_against_format_observable(self, capsys, t, literal, steps, block):
+        # The block sizes put 1, a few, some and up to 256 rows in a block.
+        expected = "".join(f"{k}\t{format_observable(PhaseVector.from_frame(*frame))}\n"
+                           for k, frame in enumerate(t.orbit(parse_observable(literal), steps)))
+        entries = [f"--{key}={render_poly(p)}" for key, p in zip(("t11", "t12", "t21", "t22"), t.matrix.entries())]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK", block)
+            assert run(capsys, "evolve", *entries, f"--obs={literal}", "--steps", str(steps)) == (0, expected, "")
 
 
 class TestDiagram:
@@ -428,6 +470,32 @@ class TestFinite:
             int(line.split("\t")[0]) for line in out.splitlines() if "-1" in line
         ]
         assert negative == [0, 1, 6, 7, 8]
+
+    # Digests of the output when the CLI counted the parity inline.
+    @pytest.mark.parametrize("argv, digest", [
+        ("finite glider --sites 64 --boundary ring --parity=5:X --steps 200",
+         "54dc99055878cce7085bfbe5febea09ec9a405d5bd395413d11d04a8f255f3db"),
+        ("finite fractal --sites 128 --boundary ring --parity=100:Z --steps 300",
+         "901c63d39403bc205b0454e903ddb91b73a320cb7bc97ba3923985f49c1169d2"),
+        ("finite fractal --sites 33 --origin=-16 --parity=-3:X --steps 70",
+         "b45f12635a344cc4fd5e5fa39f2ab53cad9046b740a94dd43c57c371de52e470"),
+    ])
+    def test_parity_tables_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("boundary", ["open", "ring"])
+    def test_parity_counts_x_and_z_letters(self, capsys, boundary):
+        # -1 iff an odd number of sites carry X or Z, counted letter by letter; Y counts twice.
+        rule = truncate_rule(fractal(), 12, boundary)
+        expected = []
+        for k, (x, z, phase) in enumerate(orbit_per_site(rule, FiniteOperator.single_site(12, 4, "Y"), 30)):
+            letters = [letter_at(FiniteOperator(12, x, z, phase), s) for s in range(12)]
+            expected.append(f"{k}\t{'-1' if (letters.count('X') + letters.count('Z')) % 2 else '+1'}\n")
+        assert "-1" in "".join(expected) and "+1" in "".join(expected)
+        argv = ["finite", "fractal", "--sites", "12", "--boundary", boundary, "--parity=4:Y", "--steps", "30"]
+        assert run(capsys, *argv) == (0, "".join(expected), "")
 
     def test_mirror(self, capsys):
         code, out, _ = run(

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as hst
 from cqcalab.laurent import LaurentPoly, parse_poly
 from cqcalab.phase_space import (
     PhaseVector,
+    cell_rows,
     format_observable,
-    letter_rows,
+    frame_cells,
     parse_int,
     parse_observable,
     pauli_to_phase_space,
     phase_space_to_pauli,
-    site_letters,
     symplectic_form,
 )
 
@@ -234,27 +234,33 @@ class TestLetters:
     @pytest.mark.parametrize("width", [0, 1, 8, 9, 64, 65, 1024])
     @given(data=hst.data())
     def test_site_letters_at_byte_and_word_edges(self, width, data):
-        masks = hst.integers(min_value=0, max_value=(1 << width) - 1)
+        # The kernel's one-row call: a row of sites 0..width-1, cut from a frame that may be wider.
+        masks = hst.integers(min_value=0, max_value=(1 << width + 2) - 1)
         x, z = data.draw(masks), data.draw(masks)
         v = PhaseVector(LaurentPoly(x), LaurentPoly(z))
-        assert site_letters(x, z, width) == "".join(v.letter_at(s) for s in range(width))
+        assert v.letters(0, width - 1) == "".join(v.letter_at(s) for s in range(width))
 
     @pytest.mark.parametrize("width", [0, 1, 3, 7, 8, 9, 63, 64, 65, 1024])
     @given(data=hst.data())
     def test_letter_rows_against_site_letters(self, width, data):
-        # Rows of a block share one int per side: each must stay within its own bytes.
+        # Rows of a block are packed end to end: each must stay within its own bytes, whatever
+        # site of its frame each row starts at.
         masks = hst.integers(min_value=0, max_value=(1 << width) - 1)
-        rows = data.draw(hst.lists(hst.tuples(masks, masks), max_size=9))
-        got = letter_rows([x for x, _ in rows], [z for _, z in rows], width)
-        assert got == [site_letters(x, z, width) for x, z in rows]
-        for (x, z), row in zip(rows, got[:2]):
-            v = PhaseVector(LaurentPoly(x), LaurentPoly(z))
-            assert row == "".join(v.letter_at(s) for s in range(width))
+        rows = data.draw(hst.lists(hst.tuples(masks, masks, hst.integers(-9, 9)), max_size=9))
+        vectors = [PhaseVector(LaurentPoly(x, lo), LaurentPoly(z, lo)) for x, z, lo in rows]
+        lefts = [lo for _, _, lo in rows]
+        got = frame_cells([v.frame() for v in vectors], lefts, width, b"1XZY")
+        assert [str(row, "ascii") for row in got] == [v.letters(lo, lo + width - 1) for v, lo in zip(vectors, lefts)]
+        for v, lo, row in zip(vectors, lefts, got[:2]):
+            assert str(row, "ascii") == "".join(v.letter_at(s) for s in range(lo, lo + width))
 
     def test_letter_rows_of_full_and_empty_rows(self):
-        full = (1 << 12) - 1
-        assert letter_rows([full, 0, full, 0], [0, full, full, 0], 12) == ["X" * 12, "Z" * 12, "Y" * 12, "1" * 12]
-        assert letter_rows([], [], 5) == []
+        frames = [(int("01" * 12, 2), 3), (int("10" * 12, 2), 3), (int("11" * 12, 2), 3), (0, 3)]
+        assert [bytes(row) for row in frame_cells(frames, [3] * 4, 12, b"1XZY")] == [b"X" * 12, b"Z" * 12, b"Y" * 12, b"1" * 12]
+        assert frame_cells([], [], 5, b"1XZY") == []
+        # A row's cells are quarter k of the symbols for code k, each as many bytes as a quarter.
+        (row,) = cell_rows(bytes([0b11100100, 0b00011011]), 2, 7, b"aa-bb-cc-dd-")
+        assert bytes(row) == b"aa-bb-cc-dd-dd-cc-bb-"
 
     def test_windows_cutting_the_support(self):
         v = pauli_to_phase_space("ZYX1Z", -3)  # sites -3..1

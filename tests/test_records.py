@@ -33,7 +33,7 @@ FIELDS = {
                      {"n_sites": 3, "x_mask": 1, "z_mask": 2, "phase_exp": 1}],
     FiniteRule: [{"n_sites": 9, "boundary": "ring", "bulk": RULE.bulk, "left": (), "right": ()},
                  {"n_sites": 9, "boundary": "open", "bulk": RULE.bulk, "left": (), "right": ()}],
-    SpaceTimeDiagram: [{"packed": b"\x01\x00", "window": (0, 3)}, {"packed": b"\x02\x00", "window": (0, 3)}],
+    SpaceTimeDiagram: [{"frames": ((1, 0), (0, 0)), "window": (0, 3)}, {"frames": ((2, 0), (0, 0)), "window": (0, 3)}],
 }
 CASES = [(cls, fields) for cls, sets in FIELDS.items() for fields in sets]
 
@@ -97,8 +97,8 @@ def test_wrong_argument_counts_raise_type_error(cls, fields):
 
 
 def test_keyword_construction_binds_by_name():
-    d = SpaceTimeDiagram(window=(0, 3), packed=b"\x01\x00")
-    assert d == SpaceTimeDiagram(b"\x01\x00", (0, 3))
+    d = SpaceTimeDiagram(window=(0, 3), frames=((1, 0),))
+    assert d == SpaceTimeDiagram(((1, 0),), (0, 3))
     assert PhaseVector(xi_minus=U, xi_plus=ONE) == PhaseVector(ONE, U)
     assert CqcaMatrix(ONE, U, t22=U, t21=ONE) == CqcaMatrix(ONE, U, ONE, U)
     assert FiniteOperator(3, z_mask=2, x_mask=1) == FiniteOperator(3, 1, 2, 0)
@@ -135,8 +135,10 @@ PINNED_REPRS = [
      "z_mask=1, phase_exp=0), FiniteOperator(n_sites=9, x_mask=1, z_mask=2, phase_exp=0)),), "
      "right=((FiniteOperator(n_sites=9, x_mask=0, z_mask=256, phase_exp=0), FiniteOperator(n_sites=9, "
      "x_mask=256, z_mask=128, phase_exp=0)),))"),
-    (lambda: build_diagram(glider(), parse_observable("Z@0"), 2),
-     "SpaceTimeDiagram(packed=b'\\x80\\x00`\\x02\\x98\\t', window=(-3, 3))"),
+    # Pinned when the diagram's rows became the orbit's frames: X@0, Z@0 and ZXZ@-1,
+    # unnormalised, on the window -2..2.
+    (lambda: build_diagram(glider(), parse_observable("X@0"), 2),
+     "SpaceTimeDiagram(frames=((16, -2), (128, -3), (2432, -4)), window=(-2, 2))"),
     (all_spins_up,
      "TIStabilizerState(xi=PhaseVector(xi_plus=LaurentPoly('0'), xi_minus=LaurentPoly('1')), n=0)"),
     (lambda: FiniteOperator(3, 1, 2, 7), "FiniteOperator(n_sites=3, x_mask=1, z_mask=2, phase_exp=3)"),

@@ -34,6 +34,11 @@ def per_cell(t, literal, steps, format):
     return oracles.diagram_per_cell(oracles.matrix_terms(t.matrix), vector, steps, format)
 
 
+def row_bytes(d):
+    """Packed bytes of one row at the window's width, 4 sites a byte: the unit of render._BLOCK."""
+    return (d.width + 3) // 4
+
+
 class TestBuildDiagram:
     def test_glider_checkerboard_start(self):
         d = build_diagram(glider(), parse_observable("X@0"), 3)
@@ -67,7 +72,7 @@ class TestBuildDiagram:
 
 class TestEmit:
     def test_one_cell_identity(self):
-        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        d = SpaceTimeDiagram(frames=((0, 0),), window=(0, 0))
         assert (d.width, d.height, d.rows) == (1, 1, ("1",))
         assert emit(d, "ascii") == b".\n"
         assert emit(d, "ppm") == b"P6\n1 1\n255\n\xff\xff\xff"
@@ -114,14 +119,29 @@ class TestEmit:
         assert emit(d, "ppm") == per_cell(t, literal, steps, "ppm")
 
     def test_constructor_rejects_partial_rows(self):
-        # A row of w sites is 2 * ceil(w / 8) bytes; an empty window has no rows.
-        for packed, window in [(b"\0" * 3, (0, 1)), (b"\0" * 6, (0, 8)), (b"", (1, 0))]:
+        # A diagram has a row and a nonempty window; a row with a site off the window is
+        # rejected when its block is written, by emit and by rows alike.
+        for frames, window in [((), (0, 1)), (((0, 1),), (1, 0))]:
             with pytest.raises(ValueError):
-                SpaceTimeDiagram(packed, window)
-        assert SpaceTimeDiagram(b"\0" * 8, (0, 8)).height == 2
+                SpaceTimeDiagram(frames, window)
+        for frames, window in [
+            (((16, 0),), (0, 1)),  # a Z one site right of the window
+            (((1, 0), (1 << 18, 0)), (0, 8)),  # a later row one site too wide
+            (((1, -1),), (0, 1)),  # an X one site left of the window
+            (((1, 0), (1, 2)), (0, 1)),  # an X on site 2
+        ]:
+            d = SpaceTimeDiagram(frames, window)
+            for write in (lambda: emit(d, "ascii"), lambda: emit(d, "ppm"), lambda: d.rows):
+                with pytest.raises(ValueError, match="off the window"):
+                    write()
+        # An identity row's base is any site: it widens no shift, so it costs no memory.
+        assert SpaceTimeDiagram(((1, 0), (0, -10**12), (0, 10**12)), (0, 0)).rows == ("X", "1", "1")
+        # Frames need not be normalised: sites below a row's base and past its top are identity.
+        assert SpaceTimeDiagram(((15, 0), (0, 0), (4, -1)), (0, 1)).rows == ("YY", "11", "X1")
+        assert SpaceTimeDiagram(((1 << 19, -1),), (0, 8)).rows == ("11111111Z",)
 
     def test_unknown_format(self):
-        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        d = SpaceTimeDiagram(frames=((0, 0),), window=(0, 0))
         with pytest.raises(ValueError):
             emit(d, "svg")
         with pytest.raises(ValueError, match="svg"):
@@ -132,12 +152,13 @@ def assert_streams(d, expected):
     """At block sizes around one row, the chunks join to ``expected[format]`` and split at row ends.
 
     The sizes are one packed byte, three, one byte either side of a row, a byte over two rows
-    (so an odd height ends in a part block), and more than the buffer.
+    (so an odd height ends in a part block), and a byte over the whole diagram.
     """
-    for block in (1, 3, d.row_bytes - 1, d.row_bytes + 1, 2 * d.row_bytes + 1, len(d.packed) + 1):
+    size = row_bytes(d)
+    for block in (1, 3, size - 1, size + 1, 2 * size + 1, d.height * size + 1):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(render, "_BLOCK", block)
-            per_block = max(1, block // d.row_bytes)
+            per_block = max(1, block // size)
             for format, want in expected.items():
                 chunks = list(emit_chunks(d, format))
                 assert b"".join(chunks) == emit(d, format) == want, (block, format)
@@ -150,15 +171,29 @@ def assert_streams(d, expected):
                 ], (block, format)
 
 
+def rows_per_cell(vectors, format):
+    """The oracle's diagram of given rows, each a PhaseVector, cell by cell."""
+    rows = [(oracles.to_terms(v.xi_plus), oracles.to_terms(v.xi_minus)) for v in vectors]
+    return oracles.rows_per_cell(rows, format)
+
+
+def diagram_of(vectors):
+    """A SpaceTimeDiagram of given rows on the oracle's window: the rows' union padded by one site."""
+    spans = [v.support() for v in vectors if v.support() is not None]
+    left, right = (min(lo for lo, _ in spans) - 1, max(hi for _, hi in spans) + 1) if spans else (-1, 1)
+    return SpaceTimeDiagram(tuple(v.frame() for v in vectors), (left, right))
+
+
 class TestBlocks:
-    """emit_chunks yields whole rows per block, and its blocks join to emit's and the oracle's bytes."""
+    """emit_chunks yields whole rows per block, each block formatted over its own rows' supports
+    by the kernel, and its blocks join to emit's and the oracle's bytes."""
 
     def test_one_by_one(self):
-        d = SpaceTimeDiagram(packed=b"\0\0", window=(0, 0))
+        d = SpaceTimeDiagram(frames=((0, 0),), window=(0, 0))
         assert_streams(d, {"ascii": b".\n", "ppm": b"P6\n1 1\n255\n\xff\xff\xff"})
 
     def test_one_site_wide_column(self):
-        d = SpaceTimeDiagram(packed=bytes((1, 0, 2, 0, 3, 0, 0, 0)), window=(5, 5))
+        d = SpaceTimeDiagram(frames=((1, 5), (2, 5), (3, 5), (0, 5)), window=(5, 5))
         pixels = b"\xff\0\0" + b"\0\0\xff" + b"\0\xff\0" + b"\xff\xff\xff"
         assert_streams(d, {"ascii": b"X\nZ\nY\n.\n", "ppm": b"P6\n1 4\n255\n" + pixels})
 
@@ -168,14 +203,43 @@ class TestBlocks:
         assert_streams(d, {f: per_cell(t, literal, steps, f) for f in ("ascii", "ppm")})
 
     def test_row_wider_than_one_block(self):
-        # 4 * _BLOCK + 9 sites make a row of _BLOCK + 4 packed bytes, so each block is one row.
+        # 4 * _BLOCK + 9 sites make a row of _BLOCK + 3 packed bytes, so each block is one row.
         literal = "Y" + "1" * (4 * render._BLOCK + 5) + "Z@-3"
         d = build_diagram(swap(), parse_observable(literal), 2)
-        assert d.row_bytes > render._BLOCK
+        assert row_bytes(d) > render._BLOCK
         for format in ("ascii", "ppm"):
             chunks = list(emit_chunks(d, format))
             assert len(chunks) == d.height + (format == "ppm")
             assert b"".join(chunks) == per_cell(swap(), literal, 2, format)
+
+    def test_identity_row_inside_a_diagram(self):
+        # No orbit reaches the identity, so the diagram is built from its rows: the identity
+        # row's block has no support of its own at block sizes of one row.
+        vectors = [parse_observable(text) for text in ("XZ@-2", "1", "Y@3", "1", "1", "ZZ@0")]
+        d = diagram_of(vectors)
+        assert d.window == (-3, 4) and d.rows[1] == "1" * 8
+        assert_streams(d, {f: rows_per_cell(vectors, f) for f in ("ascii", "ppm")})
+
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    def test_all_identity_diagram(self, steps):
+        d = build_diagram(glider(), parse_observable("1@40"), steps)
+        assert d.window == (-1, 1) and {c for c, _ in d.frames} == {0} and d.height == steps + 1
+        assert_streams(d, {f: per_cell(glider(), "1@40", steps, f) for f in ("ascii", "ppm")})
+
+    @pytest.mark.parametrize("t, literal, steps, rows", [
+        # The fractal's cone in blocks that start at t = 64 and t = 128, and in blocks of 63
+        # rows that straddle them.
+        (fractal(), "Z@0", 140, 64),
+        (fractal(), "Z@0", 140, 63),
+        # Supports of 9 and 1 sites in turn: each block's later rows are narrower than its union.
+        (random_cqca(0, 4, 2), "Z@0", 40, 3),
+    ])
+    def test_block_whose_supports_shrink(self, t, literal, steps, rows):
+        d = build_diagram(t, parse_observable(literal), steps)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "_BLOCK", rows * row_bytes(d))
+            for format in ("ascii", "ppm"):
+                assert emit(d, format) == per_cell(t, literal, steps, format), format
 
     @given(
         hst.builds(
@@ -200,7 +264,8 @@ PERIODIC = validate(CqcaMatrix.from_strings("0", "1", "1", "1"))
 
 
 class TestPerCellOracle:
-    """emit(build_diagram(...)) equals the per-cell oracle, byte for byte, in both formats."""
+    """emit(build_diagram(...)) equals the per-cell oracle, byte for byte, in both formats, at
+    every block size of assert_streams."""
 
     @pytest.mark.parametrize("format", ["ascii", "ppm"])
     @pytest.mark.parametrize(
@@ -219,7 +284,7 @@ class TestPerCellOracle:
     )
     def test_named_cases(self, t, literal, steps, format):
         d = build_diagram(t, parse_observable(literal), steps)
-        assert emit(d, format) == per_cell(t, literal, steps, format)
+        assert_streams(d, {format: per_cell(t, literal, steps, format)})
 
     @pytest.mark.parametrize("width", range(8, 16))
     def test_every_width_mod_8(self, width):
@@ -227,8 +292,7 @@ class TestPerCellOracle:
         for t, steps in ((identity(), 1), (swap(), 2)):
             d = build_diagram(t, parse_observable(literal), steps)
             assert d.width == width
-            for format in ("ascii", "ppm"):
-                assert emit(d, format) == per_cell(t, literal, steps, format)
+            assert_streams(d, {f: per_cell(t, literal, steps, f) for f in ("ascii", "ppm")})
 
     def test_random_automata(self):
         widths = set()
@@ -240,8 +304,7 @@ class TestPerCellOracle:
             steps = rng.randint(1, 9)
             d = build_diagram(t, parse_observable(literal), steps)
             widths.add(d.width % 8)
-            for format in ("ascii", "ppm"):
-                assert emit(d, format) == per_cell(t, literal, steps, format), (seed, literal, steps)
+            assert_streams(d, {f: per_cell(t, literal, steps, f) for f in ("ascii", "ppm")})
         assert widths == set(range(8))
 
 
